@@ -1,10 +1,19 @@
-"""Greedy gap-n decompositions of nonnegative integers.
+"""Gap-n decompositions of nonnegative integers.
 
 Every positive integer is a sum of order-n sequence terms F(n, c_1) + ... +
 F(n, c_k) with c_1 >= n and consecutive indices at least n apart, and that
-representation is unique. The greedy algorithm (take the largest admissible
-term not exceeding the remainder) produces it; `brute_force_decompositions`
-is the independent oracle used to re-verify uniqueness at desk scale.
+representation is unique. Three algorithms compute it, each checked against
+the others by the harness:
+
+* `decompose`, the greedy rule: take the largest term not exceeding the
+  remainder, bisecting the sequence table.
+* `successive_decompositions`, the add-one rule: walk 1, 2, 3, ... applying
+  F(n, c) + 1 = F(n, c + 1) at the smallest index and carrying
+  F(n, a) + F(n, a + n - 1) = F(n, a + n) upward. It touches no table, so it
+  stays independent of the greedy bisection and of the letter-driven
+  generators that the scans built on it check.
+* `brute_force_decompositions`, exhaustive search over every gap-n index
+  subset: the uniqueness oracle.
 
 Decompositions are plain ascending lists of indices; the empty list
 represents 0.
@@ -12,34 +21,73 @@ represents 0.
 
 from __future__ import annotations
 
-from .errors import EmptyDecomposition, InvalidDecomposition
+from bisect import bisect_right
+from typing import Iterator
+
+from .errors import EmptyDecomposition, IndexNotFound, InvalidDecomposition
 from .sequence import get_table, require_order
 
 
 def decompose(n: int, value: int) -> list[int]:
-    """Ascending index list of the unique gap-n decomposition of value >= 0."""
-    require_order(n)
+    """Ascending index list of the unique gap-n decomposition of value >= 0.
+
+    Greedy: grow the table once until its last term exceeds value, then
+    repeatedly bisect it for the largest term <= the remainder, searching
+    only indices at least n below the previous pick. That bound shrinks by
+    n per summand whatever the table holds, so a corrupted table yields a
+    wrong answer or IndexNotFound, never a hang.
+    """
+    table = get_table(n)
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"value must be an integer, got {value!r}")
     if value < 0:
         raise ValueError(f"value must be >= 0, got {value!r}")
-    table = get_table(n)
+    fwd = table.forward_past(value)
     indices: list[int] = []
-    cap: int | None = None
     remainder = value
+    hi = len(fwd)
     while remainder > 0:
-        c = table.largest_index_at_most(remainder, cap)
+        c = bisect_right(fwd, remainder, n, hi) - 1
+        if c < n:
+            raise IndexNotFound(f"no index >= {n} below {hi} fits the remainder {remainder}")
         indices.append(c)
-        remainder -= table.term(c)
-        cap = c - n
+        remainder -= fwd[c]
+        hi = c - n + 1
     indices.reverse()
     return indices
 
 
+def successive_decompositions(n: int) -> Iterator[list[int]]:
+    """Decompositions of 1, 2, 3, ... in turn, as one descending index list
+    mutated in place (copy it to keep it).
+
+    Add-one rule, amortized O(1) per value: if the smallest index is at
+    least 2n (or there is none), append F(n, n) = 1. Otherwise bump the
+    smallest index c < 2n to c + 1, since F(n, c) + 1 = F(n, c + 1) there,
+    and while the next index sits exactly n - 1 above, merge the two by
+    F(n, a) + F(n, a + n - 1) = F(n, a + n). Uses index arithmetic only.
+    """
+    require_order(n)
+    rep: list[int] = []
+    floor = 2 * n
+    step = n - 1
+    while True:
+        if not rep or rep[-1] >= floor:
+            rep.append(n)
+        else:
+            c = rep.pop() + 1
+            while rep and rep[-1] == c + step:
+                rep.pop()
+                c += n
+            rep.append(c)
+        yield rep
+
+
 def recompose(n: int, indices: list[int]) -> int:
     """Sum of the terms at `indices`, after validating the invariants."""
-    require_order(n)
-    validate(n, indices)
     table = get_table(n)
-    return sum(table.term(c) for c in indices)
+    validate(n, indices)
+    return sum(map(table.term, indices))
 
 
 def validate(n: int, indices: list[int]) -> None:
@@ -61,37 +109,43 @@ def largest_summand_index(indices: list[int]) -> int:
 
 
 def brute_force_decompositions(n: int, value: int, max_index: int) -> list[list[int]]:
-    """All gap-n index subsets of [n, max_index] summing to value.
+    """All gap-n index subsets of [n, max_index] summing to value, in
+    ascending order.
 
-    Exhaustive search, independent of the greedy path: the uniqueness oracle.
+    The uniqueness oracle: an exhaustive search from the largest index
+    down, independent of the greedy rule. It prunes only with sound bounds
+    on the (positive) table terms: a term above the remainder is skipped,
+    and the search below c stops once the remainder exceeds max_head[c],
+    the largest sum of any gap-n subset of [n, c], computed by dynamic
+    programming over the table.
     """
     require_order(n)
     if value < 1:
         raise ValueError(f"value must be >= 1, got {value!r}")
     table = get_table(n)
-    terms = {c: table.term(c) for c in range(n, max_index + 1)}
-    # max_tail[c] = largest sum achievable by a gap-n subset of [c, max_index]:
-    # either skip c or take it and continue at c + n
-    max_tail = {c: 0 for c in range(max_index + 1, max_index + n + 1)}
-    for c in range(max_index, n - 1, -1):
-        max_tail[c] = max(max_tail[c + 1], terms[c] + max_tail[c + n])
+    terms = [0] * n + [table.term(c) for c in range(n, max_index + 1)]
+    # max_head[c]: either skip c or take it and continue at c - n
+    max_head = [0] * len(terms)
+    for c in range(n, len(terms)):
+        max_head[c] = max(max_head[c - 1], terms[c] + max_head[c - n])
 
     found: list[list[int]] = []
     acc: list[int] = []
 
-    def search(start: int, remaining: int) -> None:
+    def search(top: int, remaining: int) -> None:
         if remaining == 0:
-            found.append(list(acc))
+            found.append(acc[::-1])
             return
-        if start > max_index or remaining > max_tail[start]:
-            return
-        for c in range(start, max_index + 1):
+        for c in range(top, n - 1, -1):
+            if remaining > max_head[c]:
+                return
             t = terms[c]
             if t > remaining:
-                break
+                continue
             acc.append(c)
-            search(c + n, remaining - t)
+            search(c - n, remaining - t)
             acc.pop()
 
-    search(n, value)
+    search(max_index, value)
+    found.sort()
     return found

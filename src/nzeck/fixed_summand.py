@@ -10,8 +10,9 @@ Two families for a fixed order n and index k >= n:
   all. Every such integer is a smallest-summand member plus an offset
   j < F(n, k-(n-1)) coming from a decomposition appended below index k.
 
-Each generator is paired with an exhaustive-scan oracle over the greedy
-decompositions.
+Each generator is paired with an exhaustive-scan oracle that walks the
+decompositions of 1, 2, 3, ... by the add-one rule, which never reads the
+infinite word the generators are driven by.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterator
 
-from .decomposition import decompose
-from .errors import ScanLimitExceeded
+from .decomposition import successive_decompositions
+from .errors import NzeckError, ScanLimitExceeded
 from .sequence import get_table, require_order
 from .words import DEFAULT_SCAN_LIMIT, stream
 
@@ -53,16 +54,15 @@ def smallest_summand_members(n: int, k: int, count: int) -> list[int]:
 def smallest_summand_scan(n: int, k: int, bound: int,
                           scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
     """Oracle: scan 1..bound keeping integers whose decomposition has
-    smallest index exactly k."""
+    smallest index exactly k.
+
+    The decompositions come from the add-one walk
+    (`successive_decompositions`), not from the letters of the word."""
     _require_fixed_index(n, k)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
-    out = []
-    for value in range(1, bound + 1):
-        indices = decompose(n, value)
-        if indices and indices[0] == k:
-            out.append(value)
-    return out
+    return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
+            if rep[-1] == k]
 
 
 def largest_summand_rows(n: int, j: int) -> tuple[int, int]:
@@ -84,31 +84,38 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     the values representable entirely below index k. The base q grows with
     every member (letter counts only grow and all terms are positive), so
     stopping at the first q > bound is sound. Runs from distinct members
-    never overlap; this is asserted rather than assumed.
+    never overlap; each base is checked to lie above the previous run, and
+    NzeckError is raised if it does not.
     """
     _require_fixed_index(n, k)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound!r}")
     j_max = get_table(n).term(k - (n - 1)) - 1
     out: list[int] = []
+    run_hi = 0
     for base in smallest_summand_stream(n, k):
         if base > bound:
             break
+        if base <= run_hi:
+            raise NzeckError(f"overlapping runs for n={n}, k={k}: base {base} "
+                             f"is not above the previous run's end {run_hi}")
         run_hi = min(base + j_max, bound)
         out.extend(range(base, run_hi + 1))
-    deduped = sorted(set(out))
-    assert deduped == out, f"overlapping runs for n={n}, k={k}"
     return out
 
 
 def any_summand_scan(n: int, k: int, bound: int,
                      scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
     """Oracle: scan 1..bound keeping integers whose decomposition contains
-    index k."""
+    index k.
+
+    The decompositions come from the add-one walk
+    (`successive_decompositions`), not from the letters of the word."""
     _require_fixed_index(n, k)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
-    return [value for value in range(1, bound + 1) if k in decompose(n, value)]
+    return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
+            if k in rep]
 
 
 def telescoping_identity(n: int, m: int, v: int, u: int) -> bool:

@@ -19,7 +19,8 @@ from itertools import islice
 from typing import Callable, Iterable
 
 from .decomposition import (brute_force_decompositions, decompose,
-                            largest_summand_index, recompose, validate)
+                            largest_summand_index, recompose,
+                            successive_decompositions)
 from .fixed_summand import (any_summand_members, any_summand_scan,
                             largest_summand_rows, smallest_summand_members,
                             smallest_summand_scan, telescoping_identity)
@@ -110,22 +111,28 @@ def _base_params(n_range: Iterable[int], **rest) -> dict:
 def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
                                value_max: int = 100_000) -> CheckReport:
     """Round trip for every value <= value_max and exhaustive uniqueness for
-    values <= min(value_max, 2000)."""
+    values <= min(value_max, 2000).
+
+    Each round-trip case also compares the greedy `decompose` with the
+    add-one walk that the fixed-summand scans are built on, so that walk is
+    cross-checked over the whole range the scans use."""
     n_range = list(n_range)
     unique_cap = min(value_max, 2000)
     report = CheckReport("unique-decomposition",
                          _base_params(n_range, value_max=value_max, unique_cap=unique_cap))
     for n in n_range:
         table = get_table(n)
-        for value in range(1, value_max + 1):
+        for value, rep in zip(range(1, value_max + 1), successive_decompositions(n)):
             inputs = {"n": n, "value": value}
             report.cases_run += 1
             try:
                 indices = decompose(n, value)
-                validate(n, indices)
                 back = recompose(n, indices)
                 if back != value:
                     report.fail(inputs, value, back)
+                    continue
+                if indices != rep[::-1]:
+                    report.fail({**inputs, "sub": "add-one"}, rep[::-1], indices)
                     continue
             except Exception as exc:
                 report.fail(inputs, "round trip", f"{type(exc).__name__}: {exc}")
@@ -262,8 +269,8 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         report.cases_run += 1
         last = 0
         bad = None
-        for value in range(1, sweep_max + 1):
-            top = largest_summand_index(decompose(n, value))
+        for value, rep in zip(range(1, sweep_max + 1), successive_decompositions(n)):
+            top = rep[0]
             if top < last:
                 bad = value
                 break

@@ -74,6 +74,18 @@ class SequenceTable:
                 self._back[j] = self.term(j + self.n) - self.term(j + self.n - 1)
                 self._lo = j
 
+    def forward_past(self, bound: int) -> list[int]:
+        """The forward list (entry m is F(m), slot 0 unused), grown by the
+        usual doubling until its last term exceeds bound.
+
+        The list is live: growth only appends to it. Callers must not mutate
+        it.
+        """
+        fwd = self._fwd
+        while fwd[-1] <= bound:
+            self._grow(2 * self.hi)
+        return fwd
+
     def largest_index_at_most(self, bound: int, cap: int | None = None) -> int:
         """Largest index c >= n with F(c) <= bound (and c <= cap if given).
 
@@ -99,13 +111,19 @@ _REGISTRY_LOCK = threading.Lock()
 
 
 def get_table(n: int) -> SequenceTable:
-    """Shared per-order table; all modules route through this registry."""
+    """Shared per-order table; all modules route through this registry.
+
+    The hit path reads the registry without the lock: a dict read is atomic
+    and entries are only ever added, replaced or removed whole.
+    """
     require_order(n)
-    with _REGISTRY_LOCK:
-        table = _TABLES.get(n)
-        if table is None:
-            table = _TABLES[n] = SequenceTable(n)
-        return table
+    table = _TABLES.get(n)
+    if table is None:
+        with _REGISTRY_LOCK:
+            table = _TABLES.get(n)
+            if table is None:
+                table = _TABLES[n] = SequenceTable(n)
+    return table
 
 
 def term(n: int, m: int) -> int:

@@ -1,10 +1,13 @@
-"""Greedy decomposition against the exhaustive oracle."""
+"""Greedy decomposition against the add-one walk and the exhaustive oracle."""
+
+from itertools import combinations
 
 import pytest
 
 from nzeck import (EmptyDecomposition, InvalidDecomposition,
                    brute_force_decompositions, decompose, get_table,
                    largest_summand_index, recompose, term, validate)
+from nzeck.decomposition import successive_decompositions
 
 
 @pytest.mark.parametrize("n,value,expected", [
@@ -21,6 +24,19 @@ def test_decompose_examples(n, value, expected):
 def test_decompose_rejects_negative():
     with pytest.raises(ValueError):
         decompose(3, -1)
+
+
+@pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10", None])
+def test_decompose_rejects_non_integer(value):
+    with pytest.raises(ValueError, match="must be an integer"):
+        decompose(3, value)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_successive_decompositions_match_greedy(n):
+    walk = successive_decompositions(n)
+    for value, rep in zip(range(1, 20_001), walk):
+        assert rep[::-1] == decompose(n, value), value
 
 
 @pytest.mark.parametrize("n,indices,expected", [
@@ -68,6 +84,28 @@ def test_brute_force_examples(n, value, max_index, expected):
 def test_brute_force_rejects_nonpositive():
     with pytest.raises(ValueError):
         brute_force_decompositions(3, 0, 10)
+
+
+def _naive_gap_subsets(n, max_index):
+    """Every gap-n subset of [n, max_index] by plain enumeration, by sum."""
+    by_sum = {}
+    pool = range(n, max_index + 1)
+    for size in range(1, len(pool) + 1):
+        for subset in combinations(pool, size):
+            if all(b - a >= n for a, b in zip(subset, subset[1:])):
+                by_sum.setdefault(sum(term(n, c) for c in subset), []).append(list(subset))
+    return by_sum
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_brute_force_matches_naive_enumeration(n):
+    # max_index runs from below every greedy top to 2 above the largest
+    top = get_table(n).largest_index_at_most(60)
+    for max_index in range(n - 1, top + 3):
+        naive = _naive_gap_subsets(n, max_index)
+        for value in range(1, 61):
+            assert brute_force_decompositions(n, value, max_index) == sorted(naive.get(value, [])), \
+                (max_index, value)
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])
@@ -123,3 +161,12 @@ def test_big_values_round_trip():
     for n in (2, 3, 5):
         for value in (10**18, 10**30 + 7, term(n, 200) - 1):
             assert recompose(n, decompose(n, value)) == value
+
+
+@pytest.mark.parametrize("n,digits,offset", [
+    (2, 1000, 0), (3, 1000, 0), (6, 1000, -1), (2, 5000, 0),
+])
+def test_huge_values_match_independent_greedy(n, digits, offset):
+    # 10**5000 is past the 4300-digit int<->str limit; it is never printed
+    value = 10**digits + offset
+    assert decompose(n, value) == _uncapped_greedy(n, value)

@@ -4,8 +4,9 @@ from itertools import islice
 
 import pytest
 
-from nzeck import (ScanLimitExceeded, any_summand_members, any_summand_scan,
-                   decompose, largest_summand_index, largest_summand_rows,
+from nzeck import (NzeckError, ScanLimitExceeded, any_summand_members,
+                   any_summand_scan, decompose, get_table,
+                   largest_summand_index, largest_summand_rows,
                    smallest_summand_members, smallest_summand_scan,
                    smallest_summand_stream, telescoping_identity, term)
 
@@ -110,6 +111,15 @@ def test_any_summand_matches_scan(n):
 def test_any_summand_members_sorted_distinct():
     members = any_summand_members(3, 8, 5000)
     assert members == sorted(set(members))
+
+
+def test_any_summand_members_rejects_overlapping_runs(monkeypatch):
+    # widen every run past the next base: j_max reads F(3, k - 2) = F(3, 2)
+    table = get_table(3)
+    real_term = table.term
+    monkeypatch.setattr(table, "term", lambda m: 100 if m == 2 else real_term(m))
+    with pytest.raises(NzeckError, match="overlapping runs"):
+        any_summand_members(3, 4, 50)
 
 
 def test_any_summand_rejects_bad_bound():
