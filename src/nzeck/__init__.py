@@ -9,10 +9,10 @@ pins a fixed summand. Every closed form ships with an independent
 brute-force or streaming oracle and a check suite comparing the two.
 """
 
-from .decomposition import (brute_force_decompositions, decompose,
-                            largest_summand_index, recompose, validate)
-from .errors import (BlockTooLarge, EmptyDecomposition, IndexNotFound,
-                     InvalidDecomposition, NzeckError, ScanLimitExceeded)
+from .decomposition import (brute_force_decompositions, decompose, recompose,
+                            validate)
+from .errors import (BlockTooLarge, IndexNotFound, InvalidDecomposition,
+                     NzeckError, ScanLimitExceeded)
 from .fixed_summand import (any_summand_members, any_summand_scan,
                             largest_summand_rows, smallest_summand_members,
                             smallest_summand_scan, smallest_summand_stream,
@@ -25,7 +25,7 @@ from .sequence import (SequenceTable, get_table, largest_index_at_most,
                        perturbed_table, term)
 from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at,
                     count_block, count_prefix, count_prefix_scan,
-                    format_letters, prefix_by_decomposition, stream)
+                    format_letters, stream)
 
 __version__ = "0.1.0"
 
@@ -35,7 +35,6 @@ __all__ = [
     "CheckReport",
     "DEFAULT_LENGTH_CAP",
     "DEFAULT_SCAN_LIMIT",
-    "EmptyDecomposition",
     "IndexNotFound",
     "InvalidDecomposition",
     "NzeckError",
@@ -59,10 +58,8 @@ __all__ = [
     "format_letters",
     "get_table",
     "largest_index_at_most",
-    "largest_summand_index",
     "largest_summand_rows",
     "perturbed_table",
-    "prefix_by_decomposition",
     "recompose",
     "smallest_summand_members",
     "smallest_summand_scan",

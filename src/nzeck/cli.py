@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import os
 import sys
@@ -27,10 +28,6 @@ def _scan_limit(args) -> int:
     return int(os.environ.get(ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
 
 
-def _emit_json(payload: dict) -> None:
-    print(json.dumps(payload))
-
-
 def _orders(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
@@ -38,7 +35,7 @@ def _orders(text: str) -> list[int]:
 def cmd_term(args) -> int:
     value = sequence.term(args.order, args.index)
     if args.format == "json":
-        _emit_json({"n": args.order, "m": args.index, "value": str(value)})
+        print(json.dumps({"n": args.order, "m": args.index, "value": str(value)}))
     else:
         print(value)
     return 0
@@ -47,7 +44,7 @@ def cmd_term(args) -> int:
 def cmd_decompose(args) -> int:
     indices = decomposition.decompose(args.order, args.value)
     if args.format == "json":
-        _emit_json({"n": args.order, "N": str(args.value), "indices": indices})
+        print(json.dumps({"n": args.order, "N": str(args.value), "indices": indices}))
     elif indices:
         print(f"{args.value} = " + " + ".join(f"F({args.order},{c})" for c in indices))
     else:
@@ -58,7 +55,7 @@ def cmd_decompose(args) -> int:
 def cmd_recompose(args) -> int:
     value = decomposition.recompose(args.order, args.indices)
     if args.format == "json":
-        _emit_json({"n": args.order, "indices": args.indices, "N": str(value)})
+        print(json.dumps({"n": args.order, "indices": args.indices, "N": str(value)}))
     else:
         print(value)
     return 0
@@ -70,7 +67,7 @@ def cmd_string(args) -> int:
         raise ScanLimitExceeded(f"prefix of {args.prefix} letters exceeds the scan limit {limit}")
     letters = list(islice(words.stream(args.order), args.prefix))
     if args.format == "json":
-        _emit_json({"n": args.order, "prefix": letters})
+        print(json.dumps({"n": args.order, "prefix": letters}))
     else:
         print(words.format_letters(letters))
     return 0
@@ -79,7 +76,7 @@ def cmd_string(args) -> int:
 def cmd_block(args) -> int:
     letters = words.block(args.order, args.index, length_cap=_length_cap(args))
     if args.format == "json":
-        _emit_json({"n": args.order, "m": args.index, "letters": letters})
+        print(json.dumps({"n": args.order, "m": args.index, "letters": letters}))
     else:
         print(words.format_letters(letters))
     return 0
@@ -88,7 +85,7 @@ def cmd_block(args) -> int:
 def cmd_char_at(args) -> int:
     letter = words.char_at(args.order, args.pos)
     if args.format == "json":
-        _emit_json({"n": args.order, "pos": str(args.pos), "letter": letter})
+        print(json.dumps({"n": args.order, "pos": str(args.pos), "letter": letter}))
     else:
         print(f"a{letter}")
     return 0
@@ -104,7 +101,7 @@ def cmd_counts(args) -> int:
     else:
         counts = words.count_prefix(args.order, args.prefix)
     if args.format == "json":
-        _emit_json({f"a{i + 1}": str(c) for i, c in enumerate(counts)})
+        print(json.dumps({f"a{i + 1}": str(c) for i, c in enumerate(counts)}))
     else:
         print(" ".join(f"a{i + 1}={c}" for i, c in enumerate(counts)))
     return 0
@@ -113,7 +110,8 @@ def cmd_counts(args) -> int:
 def cmd_qseq(args) -> int:
     members = fixed_summand.smallest_summand_members(args.order, args.fixed_index, args.count)
     if args.format == "json":
-        _emit_json({"n": args.order, "k": args.fixed_index, "q": [str(q) for q in members]})
+        print(json.dumps({"n": args.order, "k": args.fixed_index,
+                          "q": [str(q) for q in members]}))
     elif args.format == "bfile":
         for j, q in enumerate(members, start=1):
             print(f"{j} {q}")
@@ -125,7 +123,7 @@ def cmd_qseq(args) -> int:
 def cmd_table1(args) -> int:
     lo, hi = fixed_summand.largest_summand_rows(args.order, args.j)
     if args.format == "json":
-        _emit_json({"n": args.order, "j": args.j, "row_lo": lo, "row_hi": hi})
+        print(json.dumps({"n": args.order, "j": args.j, "row_lo": str(lo), "row_hi": str(hi)}))
     else:
         print(f"{lo} {hi}")
     return 0
@@ -134,8 +132,8 @@ def cmd_table1(args) -> int:
 def cmd_zset(args) -> int:
     members = fixed_summand.any_summand_members(args.order, args.fixed_index, args.bound)
     if args.format == "json":
-        _emit_json({"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
-                    "z": [str(z) for z in members]})
+        print(json.dumps({"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
+                          "z": [str(z) for z in members]}))
     else:
         print(" ".join(str(z) for z in members))
     return 0
@@ -143,20 +141,15 @@ def cmd_zset(args) -> int:
 
 def cmd_verify(args) -> int:
     selected = _selected_checks(args.checks)
-    overrides = {
-        "unique-decomposition": {"n_range": args.orders, "value_max": args.n_max},
-        "concat-prefixes": {"n_range": args.orders, "depth": args.depth},
-        "block-counts": {"n_range": args.orders, "depth": args.depth,
-                         "staircase_max": args.staircase_max},
-        "decomposition-prefix": {"n_range": args.orders, "length_max": args.n_max},
-        "fixed-summand": {"n_range": args.orders, "max_k_offset": args.max_k_offset,
-                          "bound": args.bound},
-        "mutation-sanity": {},
-    }
+    given = {"n_range": args.orders, "value_max": args.n_max, "length_max": args.n_max,
+             "depth": args.depth, "staircase_max": args.staircase_max,
+             "bound": args.bound, "max_k_offset": args.max_k_offset}
     reports = []
     for check_id in selected:
-        kwargs = {key: val for key, val in overrides[check_id].items() if val is not None}
-        reports.append(harness.ALL_CHECKS[check_id](**kwargs))
+        check = harness.ALL_CHECKS[check_id]
+        accepted = inspect.signature(check).parameters
+        reports.append(check(**{key: val for key, val in given.items()
+                                if val is not None and key in accepted}))
     if args.format == "json":
         print(json.dumps([r.to_json_dict() for r in reports]))
     else:
@@ -267,9 +260,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # Integers are exact at any size, so lift CPython's int<->str digit limit
+    # (3.10.7 on) while parsing and printing them, and restore it on return.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
+        sys.set_int_max_str_digits(0)
     try:
+        args = build_parser().parse_args(argv)
         return args.handler(args)
     except NzeckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -277,6 +274,9 @@ def main(argv=None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -15,8 +15,8 @@ the others by the harness:
 * `brute_force_decompositions`, exhaustive search over every gap-n index
   subset: the uniqueness oracle.
 
-Decompositions are plain ascending lists of indices; the empty list
-represents 0.
+Decompositions are plain ascending lists of indices, so the largest
+summand's index is `indices[-1]`; the empty list represents 0.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
-from .errors import EmptyDecomposition, IndexNotFound, InvalidDecomposition
+from .errors import IndexNotFound, InvalidDecomposition
 from .sequence import get_table, require_order
 
 
@@ -99,13 +99,6 @@ def validate(n: int, indices: list[int]) -> None:
     for prev, cur in zip(indices, indices[1:]):
         if cur - prev < n:
             raise InvalidDecomposition(f"gap {cur - prev} between indices {prev} and {cur} is below {n}")
-
-
-def largest_summand_index(indices: list[int]) -> int:
-    """Index of the largest summand, i.e. the last entry."""
-    if not indices:
-        raise EmptyDecomposition("empty decomposition has no largest summand")
-    return indices[-1]
 
 
 def brute_force_decompositions(n: int, value: int, max_index: int) -> list[list[int]]:

@@ -13,10 +13,6 @@ class InvalidDecomposition(NzeckError):
     """Index list violates the lower-bound or gap invariants."""
 
 
-class EmptyDecomposition(NzeckError):
-    """Operation requires a non-empty decomposition."""
-
-
 class BlockTooLarge(NzeckError):
     """Requested block would exceed the configured length cap."""
 

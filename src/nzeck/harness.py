@@ -18,8 +18,7 @@ from dataclasses import dataclass, field
 from itertools import islice
 from typing import Callable, Iterable
 
-from .decomposition import (brute_force_decompositions, decompose,
-                            largest_summand_index, recompose,
+from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
 from .fixed_summand import (any_summand_members, any_summand_scan,
                             largest_summand_rows, smallest_summand_members,
@@ -216,34 +215,33 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        table = get_table(n)
         prefix = list(islice(stream(n), length_max))
         blocks: dict[int, list[int]] = {}
         tally = [0] * n
         for length in range(1, length_max + 1):
             tally[prefix[length - 1] - 1] += 1
-            inputs = {"n": n, "length": length}
-            report.cases_run += 2
-            try:
-                indices = decompose(n, length)
-                if count_prefix(n, length) != tally:
-                    report.fail({**inputs, "sub": "counts"}, tally, count_prefix(n, length))
-                offset = 0
-                for c in reversed(indices):
-                    piece = blocks.get(c)
-                    if piece is None:
-                        piece = blocks[c] = block(n, c)
-                    if prefix[offset:offset + len(piece)] != piece:
-                        report.fail({**inputs, "sub": "prefix", "block": c},
-                                    prefix[offset:offset + len(piece)], piece)
-                        break
-                    offset += len(piece)
-                else:
-                    if offset != length:
-                        report.fail({**inputs, "sub": "prefix"}, length, offset)
-            except Exception as exc:
-                report.fail(inputs, "no exception", f"{type(exc).__name__}: {exc}")
+            report.guarded({"n": n, "length": length, "sub": "counts"},
+                           lambda: (tally[:], count_prefix(n, length)))
+            report.guarded({"n": n, "length": length, "sub": "prefix"},
+                           lambda: (length, _matched_prefix(n, prefix, blocks, length)))
     return report
+
+
+def _matched_prefix(n: int, prefix: list[int], blocks: dict[int, list[int]],
+                    length: int) -> int | None:
+    """Length of the concatenation of the blocks at the decomposition indices
+    of `length`, largest first, if it is a prefix of the word (`prefix`);
+    None if it is not. Blocks are cached in `blocks`."""
+    offset = 0
+    for c in reversed(decompose(n, length)):
+        piece = blocks.get(c)
+        if piece is None:
+            piece = blocks[c] = block(n, c)
+        end = offset + len(piece)
+        if prefix[offset:end] != piece:
+            return None
+        offset = end
+    return offset
 
 
 def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
@@ -298,7 +296,7 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         n, k = 3, 4
         hi_row = get_table(n).term(9)
         members = smallest_summand_members(n, k, hi_row)
-        tops = [largest_summand_index(decompose(n, q)) for q in members]
+        tops = [decompose(n, q)[-1] for q in members]
         for j in range(3, 9):
             lo, hi = largest_summand_rows(n, j)
             classified = [r for r in range(1, hi_row + 1) if tops[r - 1] == k + j]

@@ -14,8 +14,6 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 
-from .errors import IndexNotFound
-
 
 def require_order(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
@@ -86,21 +84,15 @@ class SequenceTable:
             self._grow(2 * self.hi)
         return fwd
 
-    def largest_index_at_most(self, bound: int, cap: int | None = None) -> int:
-        """Largest index c >= n with F(c) <= bound (and c <= cap if given).
+    def largest_index_at_most(self, bound: int) -> int:
+        """Largest index c >= n with F(c) <= bound.
 
-        Well-defined because F is strictly increasing from index n on.
-        Raises IndexNotFound when cap < n, the only way the search can fail
-        for bound >= 1.
+        Well-defined for bound >= 1 because F(n) = 1 and F is strictly
+        increasing from index n on.
         """
         if bound < 1:
             raise ValueError(f"bound must be >= 1, got {bound!r}")
-        if cap is not None and cap < self.n:
-            raise IndexNotFound(f"no admissible index >= {self.n} with cap {cap}")
-        while self._fwd[self.hi] <= bound and (cap is None or self.hi < cap):
-            self._grow(2 * self.hi)
-        limit = self.hi if cap is None or cap > self.hi else cap
-        return bisect_right(self._fwd, bound, self.n, limit + 1) - 1
+        return bisect_right(self.forward_past(bound), bound, self.n) - 1
 
     def __repr__(self) -> str:
         return f"SequenceTable(n={self.n}, window=[{self._lo}, {self.hi}])"
@@ -131,8 +123,8 @@ def term(n: int, m: int) -> int:
     return get_table(n).term(m)
 
 
-def largest_index_at_most(n: int, bound: int, cap: int | None = None) -> int:
-    return get_table(n).largest_index_at_most(bound, cap)
+def largest_index_at_most(n: int, bound: int) -> int:
+    return get_table(n).largest_index_at_most(bound)
 
 
 @contextmanager

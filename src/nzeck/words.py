@@ -3,8 +3,10 @@
 Blocks are built by the rewriting B(m) = B(m-1) + B(m-n) from the seeds
 B(1) = a_1, ..., B(n) = a_n; the block at index m has exactly F(n, m)
 letters. Since B(m) is a prefix of B(m+1) for m >= n, the blocks converge
-to an infinite word (the golden string when n = 2). Letters are plain ints
-in 1..n standing for a_1..a_n.
+to an infinite word (the golden string when n = 2). The prefix of length L
+is the concatenation of the blocks at the decomposition indices of L,
+largest first: `decompose(n, L)[::-1]`. Letters are plain ints in 1..n
+standing for a_1..a_n.
 """
 
 from __future__ import annotations
@@ -56,14 +58,6 @@ def stream(n: int) -> Iterator[int]:
             else:
                 stack.append(j - n)
                 stack.append(j - 1)
-
-
-def prefix_by_decomposition(n: int, length: int) -> list[int]:
-    """Block indices, largest first, whose concatenation is the prefix of
-    the given length (the decomposition of `length` read backwards)."""
-    if length < 1:
-        raise ValueError(f"prefix length must be >= 1, got {length!r}")
-    return decompose(n, length)[::-1]
 
 
 def char_at(n: int, pos: int) -> int:

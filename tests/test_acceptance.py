@@ -1,19 +1,22 @@
 """Acceptance suite: every criterion at its stated sweep size and tolerance.
 
 All comparisons are exact (integer equality); the only tolerances are the
-two runtime targets. Run with `pytest tests/test_acceptance.py -v -s` to see
-one PASS/FAIL line per criterion.
+two runtime targets. Criteria 3-6 and 8-11 run the harness checks that
+`nzeck verify` runs, each once per session at the union of the criterion's
+sweep and the check's default sweep, plus the criterion's spot values. Run
+with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
+criterion.
 """
 
 import time
+from functools import cache
 from itertools import islice
 
-from nzeck import (any_summand_members, any_summand_scan, block, char_at,
-                   count_block, count_prefix, decompose, get_table,
-                   largest_summand_index, largest_summand_rows,
-                   smallest_summand_members, smallest_summand_scan, stream,
-                   telescoping_identity, term)
-from nzeck.harness import check_mutation_sanity, check_unique_decomposition
+from nzeck import (any_summand_members, char_at, count_prefix, get_table,
+                   smallest_summand_members, stream, term)
+from nzeck.harness import (check_block_counts, check_decomposition_prefix,
+                           check_fixed_summand, check_mutation_sanity,
+                           check_unique_decomposition)
 
 
 def report(num, description, ok, detail=""):
@@ -23,8 +26,27 @@ def report(num, description, ok, detail=""):
     assert ok, f"criterion {num}: {description}{suffix}"
 
 
+def outcome(result):
+    return f"{result.check_id}: {result.cases_run} cases, failures={result.failures_total}"
+
+
 def take(n, count):
     return list(islice(stream(n), count))
+
+
+@cache
+def block_counts():
+    return check_block_counts(n_range=(2, 3, 4, 5), depth=25, staircase_max=5)
+
+
+@cache
+def decomposition_prefix():
+    return check_decomposition_prefix(n_range=(2, 3, 4, 5), length_max=10_000)
+
+
+@cache
+def fixed_summand():
+    return check_fixed_summand(n_range=(2, 3, 4, 5), max_k_offset=6, bound=100_000)
 
 
 def test_criterion_01_unique_decomposition_and_round_trip():
@@ -43,67 +65,28 @@ def test_criterion_02_word_fixtures():
 
 
 def test_criterion_03_block_counts_closed_form():
-    failures = 0
-    for n in (2, 3, 4, 5):
-        for m in range(1, 26):
-            letters = block(n, m)
-            tally = [letters.count(i) for i in range(1, n + 1)]
-            counts = count_block(n, m)
-            if counts != tally or sum(counts) != term(n, m) or len(letters) != term(n, m):
-                failures += 1
+    result = block_counts()
     report(3, "closed-form block counts equal scans, totals equal the terms (n=2..5, m<=25)",
-           failures == 0, f"failures={failures}")
+           result.passed, outcome(result))
 
 
 def test_criterion_04_staircase_prefixes():
-    failures = 0
-    for n in (3, 4):
-        for m in range(1, 6):
-            indices = [n + (n - 1) * t for t in range(m, -1, -1)]
-            stair = []
-            for c in indices:
-                stair += block(n, c)
-            if stair != take(n, sum(term(n, c) for c in indices)):
-                failures += 1
-    report(4, "staircase concatenations match streamed prefixes (n=3,4; m=1..5)",
-           failures == 0, f"failures={failures}")
+    result = block_counts()
+    report(4, "staircase concatenations match streamed prefixes (n=2..5; m=1..5)",
+           result.passed, outcome(result))
 
 
 def test_criterion_05_decomposition_prefix_law():
-    failures = 0
-    limit = 10_000
-    for n in (3, 4, 5):
-        prefix = take(n, limit)
-        blocks = {}
-        for length in range(1, limit + 1):
-            offset = 0
-            for c in reversed(decompose(n, length)):
-                piece = blocks.get(c)
-                if piece is None:
-                    piece = blocks[c] = block(n, c)
-                if prefix[offset:offset + len(piece)] != piece:
-                    failures += 1
-                    break
-                offset += len(piece)
-            else:
-                if offset != length:
-                    failures += 1
-    report(5, "decomposition-ordered block concatenation equals each prefix (N<=1e4, n=3..5)",
-           failures == 0, f"failures={failures}")
+    result = decomposition_prefix()
+    report(5, "decomposition-ordered block concatenation equals each prefix (N<=1e4, n=2..5)",
+           result.passed, outcome(result))
 
 
 def test_criterion_06_prefix_counts_closed_form():
-    failures = 0
-    limit = 10_000
-    for n in (2, 3, 4, 5):
-        tally = [0] * n
-        for length, letter in enumerate(take(n, limit), start=1):
-            tally[letter - 1] += 1
-            if count_prefix(n, length) != tally:
-                failures += 1
+    result = decomposition_prefix()
     spot = count_prefix(3, 10) == [3, 2, 5]
     report(6, "closed-form prefix counts equal scans (N<=1e4, n=2..5); spot (3,10)->(3,2,5)",
-           failures == 0 and spot, f"failures={failures}, spot={spot}")
+           result.passed and spot, f"{outcome(result)}, spot={spot}")
 
 
 def test_criterion_07_random_access():
@@ -128,56 +111,30 @@ def _timed(thunk):
 
 
 def test_criterion_08_smallest_summand_sequence():
-    failures = 0
-    for n in (3, 4):
-        for k in range(n, n + 5):
-            scanned = smallest_summand_scan(n, k, 10_000)
-            generated = smallest_summand_members(n, k, len(scanned)) if scanned else []
-            if generated != scanned:
-                failures += 1
+    result = fixed_summand()
     spot = smallest_summand_members(3, 4, 4) == [2, 8, 11, 15]
-    report(8, "gap-rule generator equals the scan oracle (n=3,4; k=n..n+4; <=1e4)",
-           failures == 0 and spot, f"failures={failures}, spot={spot}")
+    report(8, "gap-rule generator equals the scan oracle (n=2..5; k=n..n+4; <=1e4)",
+           result.passed and spot, f"{outcome(result)}, spot={spot}")
 
 
 def test_criterion_09_row_ranges():
-    n, k = 3, 4
-    hi_row = term(n, 9)
-    members = smallest_summand_members(n, k, hi_row)
-    tops = [largest_summand_index(decompose(n, q)) for q in members]
-    failures = 0
-    for j in range(3, 9):
-        lo, hi = largest_summand_rows(n, j)
-        for row in range(1, hi_row + 1):
-            if (lo <= row <= hi) != (tops[row - 1] == k + j):
-                failures += 1
+    result = fixed_summand()
     report(9, "row ranges classify largest summands (n=3, k=4, j=3..8)",
-           failures == 0, f"failures={failures}")
+           result.passed, outcome(result))
 
 
 def test_criterion_10_any_summand_sets():
-    failures = 0
-    bound = 100_000
-    for n in (3, 4):
-        for k in range(n, n + 7):
-            if any_summand_members(n, k, bound) != any_summand_scan(n, k, bound):
-                failures += 1
+    result = fixed_summand()
     spots = (any_summand_members(3, 4, 20) == [2, 8, 11, 15]
              and any_summand_members(3, 6, 30) == [4, 5, 17, 18, 23, 24])
-    report(10, "fixed-summand sets equal the scan oracle (n=3,4; k=n..n+6; bound 1e5)",
-           failures == 0 and spots, f"failures={failures}, spots={spots}")
+    report(10, "fixed-summand sets equal the scan oracle (n=2..5; k=n..n+6; bound 1e5)",
+           result.passed and spots, f"{outcome(result)}, spots={spots}")
 
 
 def test_criterion_11_telescoping_identity():
-    failures = 0
-    for n in (2, 3, 4, 5):
-        for m in range(1, 11):
-            for v in range(1, 5):
-                for u in range(1, n + 1):
-                    if not telescoping_identity(n, m, v, u):
-                        failures += 1
+    result = fixed_summand()
     report(11, "telescoping identity exact (n=2..5, m<=10, v<=4, u<=n)",
-           failures == 0, f"failures={failures}")
+           result.passed, outcome(result))
 
 
 def test_criterion_12_mutation_sanity():

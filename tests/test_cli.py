@@ -1,10 +1,12 @@
 """CLI surface: output formats, exit codes, environment overrides."""
 
 import json
+import random
+import sys
 
 import pytest
 
-from nzeck import decompose, perturbed_table, recompose
+from nzeck import decompose, largest_summand_rows, perturbed_table, recompose, term
 from nzeck.cli import main
 
 
@@ -123,6 +125,14 @@ def test_table1(capsys):
     assert out.strip() == "5 6"
 
 
+@pytest.mark.parametrize("j", [6, 300])
+def test_table1_json_rows_are_decimal_strings(capsys, j):
+    code, out, _ = run(capsys, "table1", "-n", "3", "-j", str(j), "--format", "json")
+    assert code == 0
+    lo, hi = largest_summand_rows(3, j)
+    assert json.loads(out) == {"n": 3, "j": j, "row_lo": str(lo), "row_hi": str(hi)}
+
+
 def test_zset_json(capsys):
     code, out, _ = run(capsys, "zset", "-n", "3", "-k", "6", "--bound", "30", "--format", "json")
     assert code == 0
@@ -146,6 +156,36 @@ def test_verify_json(capsys):
     assert len(reports) == 1
     assert reports[0]["check_id"] == "block-counts"
     assert reports[0]["pass"] is True
+
+
+def test_verify_n_max_reaches_both_sweeps(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "unique-decomposition,decomposition-prefix",
+                       "--n-max", "50", "--format", "json")
+    assert code == 0
+    reports = {r["check_id"]: r for r in json.loads(out)}
+    # 5 orders x 50 values, each a round trip and a uniqueness case
+    assert reports["unique-decomposition"]["cases_run"] == 500
+    assert reports["unique-decomposition"]["parameters"]["value_max"] == 50
+    # 4 orders x 50 lengths, each a counts and a prefix case
+    assert reports["decomposition-prefix"]["cases_run"] == 400
+    assert reports["decomposition-prefix"]["parameters"]["length_max"] == 50
+
+
+def test_verify_fixed_summand_flags(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "fixed-summand", "--orders", "3",
+                       "--bound", "500", "--max-k-offset", "2", "--format", "json")
+    assert code == 0
+    params = json.loads(out)[0]["parameters"]
+    assert (params["n_range"], params["bound"], params["max_k_offset"]) == ([3], 500, 2)
+
+
+def test_verify_mutation_sanity_ignores_sweep_flags(capsys):
+    code, out, _ = run(capsys, "verify", "--orders", "3", "--checks", "mutation-sanity",
+                       "--format", "json")
+    assert code == 0
+    report = json.loads(out)[0]
+    assert report["pass"] is True
+    assert report["cases_run"] == 3
 
 
 def test_verify_fails_under_corruption(capsys):
@@ -196,3 +236,44 @@ def test_cli_decompose_agrees_with_library(capsys):
         code, out, _ = run(capsys, "decompose", "-n", "4", str(value), "--format", "json")
         assert code == 0
         assert json.loads(out)["indices"] == decompose(4, value)
+
+
+def from_digits(text):
+    """int(text) in chunks, so the test itself stays under CPython's
+    default 4300-digit int<->str limit."""
+    value = 0
+    for start in range(0, len(text), 1000):
+        chunk = text[start:start + 1000]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
+def test_term_above_digit_limit(capsys):
+    # F(3, 30000) has about 5000 digits
+    code, out, _ = run(capsys, "term", "-n", "3", "-m", "30000")
+    assert code == 0
+    assert from_digits(out.strip()) == term(3, 30000)
+    code, out, _ = run(capsys, "term", "-n", "3", "-m", "30000", "--format", "json")
+    assert code == 0
+    assert from_digits(json.loads(out)["value"]) == term(3, 30000)
+
+
+def test_decompose_argument_above_digit_limit(capsys):
+    rng = random.Random(4401)
+    digits = str(rng.randint(1, 9)) + "".join(rng.choice("0123456789") for _ in range(4400))
+    code, out, _ = run(capsys, "decompose", "-n", "3", digits, "--format", "json")
+    assert code == 0
+    assert recompose(3, json.loads(out)["indices"]) == from_digits(digits)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                    reason="this Python has no int<->str digit limit")
+def test_digit_limit_restored_after_main(capsys):
+    before = sys.get_int_max_str_digits()
+    assert run(capsys, "term", "-n", "3", "-m", "7")[0] == 0
+    assert sys.get_int_max_str_digits() == before
+    assert run(capsys, "decompose", "-n", "1", "5")[0] == 2
+    assert sys.get_int_max_str_digits() == before
+    with pytest.raises(SystemExit):
+        main(["term", "-n", "3"])
+    assert sys.get_int_max_str_digits() == before

@@ -4,9 +4,8 @@ from itertools import combinations
 
 import pytest
 
-from nzeck import (EmptyDecomposition, InvalidDecomposition,
-                   brute_force_decompositions, decompose, get_table,
-                   largest_summand_index, recompose, term, validate)
+from nzeck import (InvalidDecomposition, brute_force_decompositions,
+                   decompose, get_table, recompose, term, validate)
 from nzeck.decomposition import successive_decompositions
 
 
@@ -56,20 +55,6 @@ def test_recompose_rejects_small_gap():
 def test_recompose_rejects_low_first_index():
     with pytest.raises(InvalidDecomposition):
         recompose(3, [2, 6])
-
-
-@pytest.mark.parametrize("indices,expected", [
-    ([3, 8], 8),
-    ([4], 4),
-    ([3, 6, 10], 10),
-])
-def test_largest_summand_index(indices, expected):
-    assert largest_summand_index(indices) == expected
-
-
-def test_largest_summand_index_empty():
-    with pytest.raises(EmptyDecomposition):
-        largest_summand_index([])
 
 
 @pytest.mark.parametrize("n,value,max_index,expected", [
@@ -152,7 +137,7 @@ def test_largest_summand_monotone(n):
     # equivalent to: top(i) > top(j) implies i > j, over all pairs <= 1e4
     last = 0
     for value in range(1, 10_001):
-        top = largest_summand_index(decompose(n, value))
+        top = decompose(n, value)[-1]
         assert top >= last, value
         last = top
 

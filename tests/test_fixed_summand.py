@@ -6,7 +6,7 @@ import pytest
 
 from nzeck import (NzeckError, ScanLimitExceeded, any_summand_members,
                    any_summand_scan, decompose, get_table,
-                   largest_summand_index, largest_summand_rows,
+                   largest_summand_rows,
                    smallest_summand_members, smallest_summand_scan,
                    smallest_summand_stream, telescoping_identity, term)
 
@@ -76,7 +76,7 @@ def test_row_ranges_classify_members(n, k):
     j_top = 2 * n + 2
     hi_row = term(n, j_top + 1)
     members = smallest_summand_members(n, k, hi_row)
-    tops = [largest_summand_index(decompose(n, q)) for q in members]
+    tops = [decompose(n, q)[-1] for q in members]
     for j in range(n, j_top + 1):
         lo, hi = largest_summand_rows(n, j)
         inside = {r for r in range(1, hi_row + 1) if lo <= r <= hi}

@@ -4,7 +4,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nzeck import IndexNotFound, SequenceTable, get_table, largest_index_at_most, term
+from nzeck import SequenceTable, get_table, largest_index_at_most, term
 
 
 @pytest.mark.parametrize("n,m,expected", [
@@ -68,19 +68,13 @@ def test_term_is_idempotent():
     assert fresh.term(-7) == fresh.term(-7)
 
 
-@pytest.mark.parametrize("n,bound,cap,expected", [
-    (3, 10, None, 8),
-    (3, 1, None, 3),
-    (3, 5, 5, 5),
-    (2, 100, None, 11),
+@pytest.mark.parametrize("n,bound,expected", [
+    (3, 10, 8),
+    (3, 1, 3),
+    (2, 100, 11),
 ])
-def test_largest_index_at_most(n, bound, cap, expected):
-    assert largest_index_at_most(n, bound, cap) == expected
-
-
-def test_largest_index_cap_below_order():
-    with pytest.raises(IndexNotFound):
-        largest_index_at_most(3, 10, 2)
+def test_largest_index_at_most(n, bound, expected):
+    assert largest_index_at_most(n, bound) == expected
 
 
 def test_largest_index_rejects_bad_bound():

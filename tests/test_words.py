@@ -5,8 +5,8 @@ from itertools import islice
 import pytest
 
 from nzeck import (BlockTooLarge, ScanLimitExceeded, block, char_at,
-                   count_block, count_prefix, count_prefix_scan,
-                   format_letters, prefix_by_decomposition, stream, term)
+                   count_block, count_prefix, count_prefix_scan, decompose,
+                   format_letters, stream, term)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -71,16 +71,11 @@ def test_blocks_are_stream_prefixes_from_n(n):
     (3, 13, [9]),
 ])
 def test_prefix_by_decomposition_examples(n, length, expected):
-    assert prefix_by_decomposition(n, length) == expected
+    assert decompose(n, length)[::-1] == expected
     concatenated = []
     for c in expected:
         concatenated += block(n, c)
     assert concatenated == take(n, length)
-
-
-def test_prefix_by_decomposition_rejects_zero():
-    with pytest.raises(ValueError):
-        prefix_by_decomposition(3, 0)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5])
@@ -90,7 +85,7 @@ def test_prefix_law_sweep(n):
     cached = {}
     for length in range(1, limit + 1):
         out = []
-        for c in prefix_by_decomposition(n, length):
+        for c in decompose(n, length)[::-1]:
             if c not in cached:
                 cached[c] = block(n, c)
             out += cached[c]
