@@ -15,6 +15,7 @@ only guaranteed for n >= 3.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from decimal import Decimal
 from itertools import islice
 from typing import Callable, Iterable
 
@@ -90,7 +91,8 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
         return value
     if isinstance(value, int):
-        return value if abs(value) < 2**53 else str(value)
+        # Decimal's str() is exact and, unlike int's, has no digit limit
+        return value if abs(value) < 2**53 else str(Decimal(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple, range, set)):

@@ -23,9 +23,12 @@ def require_order(n: int) -> None:
 class SequenceTable:
     """Memoized table of F(n, m) over a growable integer index window.
 
-    Growth is the only mutation and is guarded by a lock; once an index is
-    materialized, reads are pure, so a table may be shared read-only across
-    threads. Values are Python ints (arbitrary precision).
+    The forward window ends at the largest index requested or at the first
+    term above the largest bound searched, and never further: F(n, m) has
+    Theta(m) bits, so memory grows with the square of the window. Growth is
+    the only mutation, only appends, and is guarded by a lock; once an index
+    is materialized, reads are pure, so a table may be shared read-only
+    across threads. Values are Python ints (arbitrary precision).
     """
 
     def __init__(self, n: int):
@@ -58,11 +61,9 @@ class SequenceTable:
 
     def _grow(self, m: int) -> None:
         with self._lock:
-            # amortized doubling keeps repeated single-step growth cheap
-            target = max(m, 2 * self.hi)
             n = self.n
             fwd = self._fwd
-            while len(fwd) <= target:
+            while len(fwd) <= m:
                 fwd.append(fwd[-1] + fwd[len(fwd) - n])
 
     def _extend_back(self, m: int) -> None:
@@ -73,15 +74,18 @@ class SequenceTable:
                 self._lo = j
 
     def forward_past(self, bound: int) -> list[int]:
-        """The forward list (entry m is F(m), slot 0 unused), grown by the
-        usual doubling until its last term exceeds bound.
+        """The forward list (entry m is F(m), slot 0 unused), grown term by
+        term just until its last term exceeds bound.
 
         The list is live: growth only appends to it. Callers must not mutate
         it.
         """
         fwd = self._fwd
-        while fwd[-1] <= bound:
-            self._grow(2 * self.hi)
+        if fwd[-1] <= bound:
+            with self._lock:
+                n = self.n
+                while fwd[-1] <= bound:
+                    fwd.append(fwd[-1] + fwd[len(fwd) - n])
         return fwd
 
     def largest_index_at_most(self, bound: int) -> int:

@@ -28,9 +28,19 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
     require_order(n)
     if m < 1:
         raise ValueError(f"block index must be >= 1, got {m!r}")
+    # Sizes are reported by bit length: str() of an int above 4300 digits
+    # raises. F(n, m) >= 2 F(n, m - n) gives F(n, m) >= 2**((m - n) // n) for
+    # m >= n, which refuses most oversized blocks before growing a table whose
+    # memory grows with the square of m.
+    cap_bits = length_cap.bit_length()
+    floor_bits = (m - n) // n
+    if floor_bits >= cap_bits:
+        raise BlockTooLarge(f"block {m} has at least 2**{floor_bits} letters, "
+                            f"above the {cap_bits}-bit length cap")
     size = get_table(n).term(m)
     if size > length_cap:
-        raise BlockTooLarge(f"block {m} has {size} letters, above the cap {length_cap}")
+        raise BlockTooLarge(f"block {m} has a {size.bit_length()}-bit letter count, "
+                            f"above the {cap_bits}-bit length cap")
     if m <= n:
         return [m]
     window: deque[list[int]] = deque(([i] for i in range(1, n + 1)), maxlen=n)

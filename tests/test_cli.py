@@ -78,6 +78,12 @@ def test_block_cap_exit_code(capsys):
     assert "BlockTooLarge" in err
 
 
+def test_block_cap_refused_before_growth(capsys):
+    code, _, err = run(capsys, "block", "-n", "3", "-m", "1000000")
+    assert code == 1
+    assert "BlockTooLarge" in err
+
+
 def test_char_at(capsys):
     code, out, _ = run(capsys, "char-at", "-n", "3", "5")
     assert code == 0

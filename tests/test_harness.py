@@ -91,6 +91,11 @@ def test_report_json_stringifies_big_ints():
     json.dumps(payload)
 
 
+def test_report_json_big_int_above_digit_limit():
+    payload = CheckReport("x", {"b": 10**5000}).to_json_dict()
+    assert payload["parameters"]["b"] == "1" + "0" * 5000
+
+
 def test_perturbed_table_rejects_backward_index():
     with pytest.raises(ValueError):
         with perturbed_table(3, 0):

@@ -1,10 +1,12 @@
 """Sequence table: seeds, recurrence, leftward extension, index search."""
 
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nzeck import SequenceTable, get_table, largest_index_at_most, term
+from nzeck import (SequenceTable, decompose, get_table, largest_index_at_most,
+                   sequence, term)
 
 
 @pytest.mark.parametrize("n,m,expected", [
@@ -94,3 +96,43 @@ def test_concurrent_reads_agree():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(fresh.term, range(1, 300)))
     assert results == [term(4, m) for m in range(1, 300)]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_term_grows_exactly_to_the_index(n):
+    fresh = SequenceTable(n)
+    top = n
+    for m in (n + 1, 2 * n + 3, 100, 101, 57, -9):
+        fresh.term(m)
+        top = max(top, m)
+        assert fresh.hi == top
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("bound", [1, 2, 10, 10**6 + 7, 10**50, 10**300])
+def test_searches_grow_to_the_first_term_past_the_bound(n, bound, monkeypatch):
+    fresh = SequenceTable(n)
+    c = fresh.largest_index_at_most(bound)
+    assert fresh.hi == c + 1
+    assert fresh.term(c) <= bound < fresh.term(c + 1)
+    monkeypatch.setitem(sequence._TABLES, n, SequenceTable(n))
+    assert decompose(n, bound)[-1] == c
+    assert get_table(n).hi == c + 1
+
+
+def test_concurrent_forward_past_matches_serial_growth():
+    bounds = [10**d + d for d in (3, 250, 40, 1, 180, 300, 75, 120)] * 4
+    reference = SequenceTable(3)
+    for bound in bounds:
+        reference.forward_past(bound)
+    shared = SequenceTable(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            lists = list(pool.map(shared.forward_past, bounds, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert all(live is shared._fwd for live in lists)
+    assert shared._fwd == reference._fwd
+    assert shared.hi == reference.hi

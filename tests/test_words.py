@@ -4,9 +4,9 @@ from itertools import islice
 
 import pytest
 
-from nzeck import (BlockTooLarge, ScanLimitExceeded, block, char_at,
-                   count_block, count_prefix, count_prefix_scan, decompose,
-                   format_letters, stream, term)
+from nzeck import (BlockTooLarge, ScanLimitExceeded, SequenceTable, block,
+                   char_at, count_block, count_prefix, count_prefix_scan,
+                   decompose, format_letters, get_table, sequence, stream, term)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -34,6 +34,23 @@ def test_block_rejects_bad_index():
 def test_block_length_cap():
     with pytest.raises(BlockTooLarge):
         block(3, 60, length_cap=1000)
+
+
+@pytest.mark.parametrize("m", [40000, 10**6])
+def test_block_cap_refused_before_growth(m, monkeypatch):
+    # both sizes are far above 4300 digits, and 10**6 terms would take ~39 GB
+    monkeypatch.setitem(sequence._TABLES, 3, SequenceTable(3))
+    with pytest.raises(BlockTooLarge):
+        block(3, m, length_cap=10)
+    assert get_table(3).hi == 3
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_block_early_refusal_bound(n):
+    # block() refuses m without growing the table once 2**((m - n) // n)
+    # exceeds the cap; that is sound only if this lower bound holds
+    for m in range(n, 400):
+        assert term(n, m) >= 2 ** ((m - n) // n)
 
 
 def test_stream_fixtures():
