@@ -23,15 +23,16 @@ from .harness import (ALL_CHECKS, CheckReport, check_block_counts,
                       check_unique_decomposition)
 from .sequence import (SequenceTable, get_table, largest_index_at_most,
                        perturbed_table, term)
-from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at,
-                    count_block, count_prefix, count_prefix_scan,
-                    format_letters, stream)
+from .words import (CHUNK_LETTERS, DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT,
+                    block, char_at, count_block, count_prefix,
+                    count_prefix_scan, format_letters, stream, stream_chunks)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "ALL_CHECKS",
     "BlockTooLarge",
+    "CHUNK_LETTERS",
     "CheckReport",
     "DEFAULT_LENGTH_CAP",
     "DEFAULT_SCAN_LIMIT",
@@ -65,6 +66,7 @@ __all__ = [
     "smallest_summand_scan",
     "smallest_summand_stream",
     "stream",
+    "stream_chunks",
     "telescoping_identity",
     "term",
     "validate",

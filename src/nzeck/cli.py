@@ -113,8 +113,7 @@ def cmd_qseq(args) -> int:
         print(json.dumps({"n": args.order, "k": args.fixed_index,
                           "q": [str(q) for q in members]}))
     elif args.format == "bfile":
-        for j, q in enumerate(members, start=1):
-            print(f"{j} {q}")
+        print("\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)))
     else:
         print(" ".join(str(q) for q in members))
     return 0

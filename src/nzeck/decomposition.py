@@ -25,7 +25,7 @@ from bisect import bisect_right
 from typing import Iterator
 
 from .errors import IndexNotFound, InvalidDecomposition
-from .sequence import get_table, require_order
+from .sequence import get_table, require_int, require_order
 
 
 def decompose(n: int, value: int) -> list[int]:
@@ -38,8 +38,7 @@ def decompose(n: int, value: int) -> list[int]:
     wrong answer or IndexNotFound, never a hang.
     """
     table = get_table(n)
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise ValueError(f"value must be an integer, got {value!r}")
+    require_int("value", value)
     if value < 0:
         raise ValueError(f"value must be >= 0, got {value!r}")
     fwd = table.forward_past(value)

@@ -17,12 +17,12 @@ infinite word the generators are driven by.
 
 from __future__ import annotations
 
-from itertools import islice
+from itertools import accumulate, islice
 from typing import Iterator
 
 from .decomposition import successive_decompositions
 from .errors import NzeckError, ScanLimitExceeded
-from .sequence import get_table, require_order
+from .sequence import get_table, require_int, require_order
 from .words import DEFAULT_SCAN_LIMIT, stream
 
 
@@ -34,18 +34,17 @@ def _require_fixed_index(n: int, k: int) -> None:
 
 def smallest_summand_stream(n: int, k: int) -> Iterator[int]:
     """Ascending integers whose smallest summand is F(n, k), generated by
-    the letter-driven gap rule: one big-int addition per member."""
+    the letter-driven gap rule: one big-int addition per member, adding
+    step[a] = F(n, k + a) for each letter a of the word."""
     _require_fixed_index(n, k)
     table = get_table(n)
-    current = table.term(k)
-    letters = stream(n)
-    while True:
-        yield current
-        current += table.term(k + next(letters))
+    step = tuple(table.term(k + i) for i in range(n + 1))
+    return accumulate(map(step.__getitem__, stream(n)), initial=step[0])
 
 
 def smallest_summand_members(n: int, k: int, count: int) -> list[int]:
     """First `count` members of the smallest-summand sequence."""
+    require_int("count", count)
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count!r}")
     return list(islice(smallest_summand_stream(n, k), count))
@@ -59,6 +58,7 @@ def smallest_summand_scan(n: int, k: int, bound: int,
     The decompositions come from the add-one walk
     (`successive_decompositions`), not from the letters of the word."""
     _require_fixed_index(n, k)
+    require_int("bound", bound)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
     return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
@@ -88,6 +88,7 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     NzeckError is raised if it does not.
     """
     _require_fixed_index(n, k)
+    require_int("bound", bound)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound!r}")
     j_max = get_table(n).term(k - (n - 1)) - 1
@@ -112,6 +113,7 @@ def any_summand_scan(n: int, k: int, bound: int,
     The decompositions come from the add-one walk
     (`successive_decompositions`), not from the letters of the word."""
     _require_fixed_index(n, k)
+    require_int("bound", bound)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
     return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))

@@ -20,6 +20,12 @@ def require_order(n: int) -> None:
         raise ValueError(f"order n must be an integer >= 2, got {n!r}")
 
 
+def require_int(name: str, value: int) -> None:
+    """Raise ValueError unless value is an int; bool does not count."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 class SequenceTable:
     """Memoized table of F(n, m) over a growable integer index window.
 

@@ -3,10 +3,12 @@
 import json
 import random
 import sys
+from itertools import islice
 
 import pytest
 
-from nzeck import decompose, largest_summand_rows, perturbed_table, recompose, term
+from nzeck import (decompose, largest_summand_rows, perturbed_table, recompose,
+                   smallest_summand_members, stream, term)
 from nzeck.cli import main
 
 
@@ -123,6 +125,18 @@ def test_qseq_formats(capsys):
     assert json.loads(out) == {"n": 3, "k": 4, "q": ["2", "8", "11", "15"]}
     code, out, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", "4", "--format", "bfile")
     assert out == "1 2\n2 8\n3 11\n4 15\n"
+
+
+def test_bulk_text_matches_per_item_formatting(capsys):
+    letters = list(islice(stream(3), 10_000))
+    code, out, _ = run(capsys, "string", "-n", "3", "--prefix", "10000")
+    assert code == 0
+    assert out == " ".join(f"a{x}" for x in letters) + "\n"
+    members = smallest_summand_members(3, 4, 10_000)
+    code, out, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", "10000",
+                       "--format", "bfile")
+    assert code == 0
+    assert out == "".join(f"{j} {q}\n" for j, q in enumerate(members, start=1))
 
 
 def test_table1(capsys):

@@ -8,7 +8,7 @@ from nzeck import (NzeckError, ScanLimitExceeded, any_summand_members,
                    any_summand_scan, decompose, get_table,
                    largest_summand_rows,
                    smallest_summand_members, smallest_summand_scan,
-                   smallest_summand_stream, telescoping_identity, term)
+                   smallest_summand_stream, stream, telescoping_identity, term)
 
 
 @pytest.mark.parametrize("n,k,count,expected", [
@@ -24,6 +24,27 @@ def test_smallest_summand_members_examples(n, k, count, expected):
 def test_smallest_summand_first_is_the_term():
     for n, k in [(2, 5), (3, 3), (3, 9), (4, 6)]:
         assert next(smallest_summand_stream(n, k)) == term(n, k)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_smallest_summand_stream_matches_per_member_loop(n):
+    count = 20_000
+    letters = list(islice(stream(n), count - 1))
+    for k in (n, n + 3, 200):
+        current = term(n, k)
+        expected = [current]
+        for letter in letters:
+            current += term(n, k + letter)
+            expected.append(current)
+        assert list(islice(smallest_summand_stream(n, k), count)) == expected, k
+
+
+@pytest.mark.parametrize("family", [smallest_summand_members, smallest_summand_scan,
+                                    any_summand_members, any_summand_scan])
+@pytest.mark.parametrize("bad", [True, 2.5, 10.0, "10", None])
+def test_counts_and_bounds_reject_non_integers(family, bad):
+    with pytest.raises(ValueError, match="must be an integer"):
+        family(3, 4, bad)
 
 
 def test_smallest_summand_strictly_increasing():
@@ -153,7 +174,6 @@ def test_telescoping_rejects_bad_args():
 
 def test_gap_rule_matches_letters():
     # consecutive members differ by F(k + letter) for the next word letter
-    from nzeck import stream
     n, k = 3, 5
     members = smallest_summand_members(n, k, 40)
     letters = list(islice(stream(n), 39))

@@ -1,19 +1,34 @@
 """Blocks, the infinite word, random access, and letter counts."""
 
-from itertools import islice
+import random
+from itertools import chain, count, islice
 
 import pytest
 
-from nzeck import (BlockTooLarge, ScanLimitExceeded, SequenceTable, block,
-                   char_at, count_block, count_prefix, count_prefix_scan,
-                   decompose, format_letters, get_table, sequence, stream, term)
+from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
+                   SequenceTable, block, char_at, count_block, count_prefix,
+                   count_prefix_scan, decompose, format_letters, get_table,
+                   sequence, stream, stream_chunks, term)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
 
 
-def take(n, count):
-    return list(islice(stream(n), count))
+def take(n, length):
+    return list(islice(stream(n), length))
+
+
+def per_letter_stream(n):
+    """Reference: word = B(n) . B(1) . B(2) ... expanded one letter per step."""
+    for idx in chain((n,), count(1)):
+        stack = [idx]
+        while stack:
+            j = stack.pop()
+            if j <= n:
+                yield j
+            else:
+                stack.append(j - n)
+                stack.append(j - 1)
 
 
 @pytest.mark.parametrize("n,m,expected", [
@@ -57,6 +72,19 @@ def test_stream_fixtures():
     assert take(3, 14) == WORD_3_PREFIX
     assert take(2, 13) == WORD_2_PREFIX
     assert take(3, 1) == [3]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_stream_matches_per_letter_reference(n):
+    # 3e5 letters cross dozens of chunk boundaries for every order
+    length = 300_000
+    assert take(n, length) == list(islice(per_letter_stream(n), length))
+    seen = 0
+    for chunk in stream_chunks(n):
+        assert type(chunk) is tuple and 1 <= len(chunk) <= CHUNK_LETTERS
+        seen += len(chunk)
+        if seen >= length:
+            break
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -191,6 +219,20 @@ def test_count_prefix_scan_examples(n, length, expected):
     assert count_prefix_scan(n, length) == expected
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_count_prefix_scan_matches_closed_form(n):
+    rng = random.Random(n)
+    edges = [0, 1, CHUNK_LETTERS - 1, CHUNK_LETTERS, CHUNK_LETTERS + 1]
+    for length in edges + [rng.randrange(200_001) for _ in range(20)]:
+        assert count_prefix_scan(n, length) == count_prefix(n, length), length
+
+
+@pytest.mark.parametrize("length", [True, False, 2.5, 10.0, "10", None])
+def test_count_prefix_scan_rejects_non_integer(length):
+    with pytest.raises(ValueError, match="must be an integer"):
+        count_prefix_scan(3, length)
+
+
 def test_count_prefix_scan_limit():
     with pytest.raises(ScanLimitExceeded):
         count_prefix_scan(3, 100, scan_limit=10)
@@ -207,3 +249,5 @@ def test_count_prefix_matches_scan(n):
 def test_format_letters():
     assert format_letters([3, 1, 2]) == "a3 a1 a2"
     assert format_letters([]) == ""
+    letters = take(6, 10_000)
+    assert format_letters(letters) == " ".join(f"a{x}" for x in letters)
