@@ -22,6 +22,7 @@ summand's index is `indices[-1]`; the empty list represents 0.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import pairwise
 from typing import Iterator
 
 from .errors import IndexNotFound, InvalidDecomposition
@@ -83,10 +84,23 @@ def successive_decompositions(n: int) -> Iterator[list[int]]:
 
 
 def recompose(n: int, indices: list[int]) -> int:
-    """Sum of the terms at `indices`, after validating the invariants."""
+    """Sum of the terms at `indices`, after validating the invariants.
+
+    Valid indices ascend from n up, so one growth through the last index
+    makes every term a plain read of the forward list. A non-int index
+    (bool included) fails on that path, as a TypeError or as an invalid
+    decomposition, and is then reported as ValueError.
+    """
     table = get_table(n)
-    validate(n, indices)
-    return sum(map(table.term, indices))
+    try:
+        validate(n, indices)
+        if not indices:
+            return 0
+        return sum(map(table.forward_through(indices[-1]).__getitem__, indices))
+    except (TypeError, InvalidDecomposition):
+        for c in indices:
+            require_int("index", c)
+        raise
 
 
 def validate(n: int, indices: list[int]) -> None:
@@ -95,7 +109,7 @@ def validate(n: int, indices: list[int]) -> None:
         return
     if indices[0] < n:
         raise InvalidDecomposition(f"first index {indices[0]} is below the order {n}")
-    for prev, cur in zip(indices, indices[1:]):
+    for prev, cur in pairwise(indices):
         if cur - prev < n:
             raise InvalidDecomposition(f"gap {cur - prev} between indices {prev} and {cur} is below {n}")
 

@@ -70,6 +70,7 @@ def largest_summand_rows(n: int, j: int) -> tuple[int, int]:
     sequence whose members have largest summand F(n, k + j), for any fixed
     k >= n and j >= n: rows F(n, j)+1 through F(n, j+1)."""
     require_order(n)
+    require_int("j", j)
     if j < n:
         raise ValueError(f"j must be >= n = {n}, got {j!r}")
     table = get_table(n)
@@ -123,6 +124,8 @@ def any_summand_scan(n: int, k: int, bound: int,
 def telescoping_identity(n: int, m: int, v: int, u: int) -> bool:
     """Exact check of F(m+vn+u) - sum_t F(m+tn+u-1) = F(m+u) for t = 1..v."""
     require_order(n)
+    for name, value in (("m", m), ("v", v), ("u", u)):
+        require_int(name, value)
     if m < 1 or v < 1 or not 1 <= u <= n:
         raise ValueError(f"need m >= 1, v >= 1, 1 <= u <= n; got m={m}, v={v}, u={u}")
     table = get_table(n)

@@ -16,7 +16,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from decimal import Decimal
+from functools import wraps
 from itertools import islice
+from time import perf_counter
 from typing import Callable, Iterable
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
@@ -25,20 +27,25 @@ from .fixed_summand import (any_summand_members, any_summand_scan,
                             largest_summand_rows, smallest_summand_members,
                             smallest_summand_scan, telescoping_identity)
 from .sequence import get_table, perturbed_table
-from .words import block, char_at, count_block, count_prefix, stream
+from .words import _counts_over, block, char_at, count_block, stream
 
 MAX_RECORDED_FAILURES = 5
 
 
 @dataclass
 class CheckReport:
-    """Outcome of one check: pass iff no failure was observed."""
+    """Outcome of one check: pass iff no failure was observed.
+
+    `elapsed_s` is the check's wall time, measured once around the whole
+    sweep; it is left out of equality so reruns of a check compare equal.
+    """
 
     check_id: str
     parameters: dict
     cases_run: int = 0
     failures: list = field(default_factory=list)
     failures_total: int = 0
+    elapsed_s: float = field(default=0.0, compare=False)
 
     @property
     def passed(self) -> bool:
@@ -67,7 +74,7 @@ class CheckReport:
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        line = f"[{status}] {self.check_id}: {self.cases_run} cases"
+        line = f"[{status}] {self.check_id}: {self.cases_run} cases in {self.elapsed_s:.2f} s"
         if not self.passed:
             line += f", {self.failures_total} failures"
         return line
@@ -83,7 +90,19 @@ class CheckReport:
                 for i, e, a in self.failures
             ],
             "failures_total": self.failures_total,
+            "elapsed_s": self.elapsed_s,
         }
+
+
+def _timed(check: Callable[..., CheckReport]) -> Callable[..., CheckReport]:
+    """Wrap a check so its report carries the check's wall time."""
+    @wraps(check)
+    def run(*args, **kwargs) -> CheckReport:
+        start = perf_counter()
+        report = check(*args, **kwargs)
+        report.elapsed_s = perf_counter() - start
+        return report
+    return run
 
 
 def _jsonable(value):
@@ -109,6 +128,7 @@ def _base_params(n_range: Iterable[int], **rest) -> dict:
     return params
 
 
+@_timed
 def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
                                value_max: int = 100_000) -> CheckReport:
     """Round trip for every value <= value_max and exhaustive uniqueness for
@@ -124,23 +144,23 @@ def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
     for n in n_range:
         table = get_table(n)
         for value, rep in zip(range(1, value_max + 1), successive_decompositions(n)):
-            inputs = {"n": n, "value": value}
             report.cases_run += 1
             try:
                 indices = decompose(n, value)
                 back = recompose(n, indices)
                 if back != value:
-                    report.fail(inputs, value, back)
+                    report.fail({"n": n, "value": value}, value, back)
                     continue
                 if indices != rep[::-1]:
-                    report.fail({**inputs, "sub": "add-one"}, rep[::-1], indices)
+                    report.fail({"n": n, "value": value, "sub": "add-one"}, rep[::-1], indices)
                     continue
             except Exception as exc:
-                report.fail(inputs, "round trip", f"{type(exc).__name__}: {exc}")
+                report.fail({"n": n, "value": value}, "round trip",
+                            f"{type(exc).__name__}: {exc}")
                 continue
             if value <= unique_cap:
                 report.guarded(
-                    {**inputs, "sub": "uniqueness"},
+                    {"n": n, "value": value, "sub": "uniqueness"},
                     lambda v=value, idx=indices: (
                         [idx],
                         brute_force_decompositions(n, v, table.largest_index_at_most(v)),
@@ -149,6 +169,7 @@ def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
     return report
 
 
+@_timed
 def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> CheckReport:
     """Two-block and staircase concatenations are prefixes of the word."""
     n_range = list(n_range)
@@ -181,6 +202,7 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
     return report
 
 
+@_timed
 def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
                        staircase_max: int = 5) -> CheckReport:
     """Closed-form block letter counts and lengths vs direct scans, plus the
@@ -209,43 +231,59 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     return report
 
 
+@_timed
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
                                length_max: int = 10_000) -> CheckReport:
     """Decomposition-ordered block concatenation reproduces every prefix, and
-    the closed-form letter counts match a running scan."""
+    the closed-form letter counts match a running scan.
+
+    Each length is decomposed once, and both sub-cases use those indices:
+    the closed-form counts (what `count_prefix` returns) and the block
+    concatenation. Letters are held as the characters chr(1)..chr(n), so
+    each prefix comparison is one memory compare of all `length` letters.
+    """
     n_range = list(n_range)
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        prefix = list(islice(stream(n), length_max))
-        blocks: dict[int, list[int]] = {}
+        prefix = "".join(map(chr, islice(stream(n), length_max)))
+        blocks: dict[int, str] = {}
         tally = [0] * n
         for length in range(1, length_max + 1):
-            tally[prefix[length - 1] - 1] += 1
+            tally[ord(prefix[length - 1]) - 1] += 1
+            try:
+                indices = decompose(n, length)
+            except Exception as exc:
+                for sub in ("counts", "prefix"):
+                    report.cases_run += 1
+                    report.fail({"n": n, "length": length, "sub": sub}, "no exception",
+                                f"{type(exc).__name__}: {exc}")
+                continue
             report.guarded({"n": n, "length": length, "sub": "counts"},
-                           lambda: (tally[:], count_prefix(n, length)))
+                           lambda: (tally[:], _counts_over(n, indices)))
             report.guarded({"n": n, "length": length, "sub": "prefix"},
-                           lambda: (length, _matched_prefix(n, prefix, blocks, length)))
+                           lambda: (length, _matched_prefix(n, prefix, blocks, indices)))
     return report
 
 
-def _matched_prefix(n: int, prefix: list[int], blocks: dict[int, list[int]],
-                    length: int) -> int | None:
-    """Length of the concatenation of the blocks at the decomposition indices
-    of `length`, largest first, if it is a prefix of the word (`prefix`);
-    None if it is not. Blocks are cached in `blocks`."""
+def _matched_prefix(n: int, prefix: str, blocks: dict[int, str],
+                    indices: list[int]) -> int | str:
+    """Length of the concatenation of the blocks at `indices`, largest
+    first, if it is a prefix of the word (`prefix`); otherwise a message
+    naming the first block whose letters differ from the word. Blocks are
+    cached in `blocks`, in the letter encoding of `prefix`."""
     offset = 0
-    for c in reversed(decompose(n, length)):
+    for c in reversed(indices):
         piece = blocks.get(c)
         if piece is None:
-            piece = blocks[c] = block(n, c)
-        end = offset + len(piece)
-        if prefix[offset:end] != piece:
-            return None
-        offset = end
+            piece = blocks[c] = "".join(map(chr, block(n, c)))
+        if not prefix.startswith(piece, offset):
+            return f"block {c} differs from the word at letters {offset + 1}..{offset + len(piece)}"
+        offset += len(piece)
     return offset
 
 
+@_timed
 def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
                         bound: int = 100_000) -> CheckReport:
     """Fixed-summand machinery: telescoping identity, largest-summand
@@ -313,6 +351,7 @@ def _q_pair(n: int, k: int, bound: int) -> tuple[list[int], list[int]]:
     return scanned, generated
 
 
+@_timed
 def check_mutation_sanity(n: int = 3, m: int = 9, delta: int = 1) -> CheckReport:
     """Corrupt one table value and confirm the battery notices.
 

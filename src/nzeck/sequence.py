@@ -58,9 +58,10 @@ class SequenceTable:
     def term(self, m: int) -> int:
         """F(n, m) for any integer m, extending the window on demand."""
         if m >= 1:
-            if m > self.hi:
+            fwd = self._fwd
+            if m >= len(fwd):
                 self._grow(m)
-            return self._fwd[m]
+            return fwd[m]
         if m < self._lo:
             self._extend_back(m)
         return self._back[m]
@@ -78,6 +79,14 @@ class SequenceTable:
                 j = self._lo - 1
                 self._back[j] = self.term(j + self.n) - self.term(j + self.n - 1)
                 self._lo = j
+
+    def forward_through(self, m: int) -> list[int]:
+        """The forward list (entry m is F(m), slot 0 unused), grown just
+        until index m exists. Live and read-only, like `forward_past`."""
+        fwd = self._fwd
+        if m >= len(fwd):
+            self._grow(m)
+        return fwd
 
     def forward_past(self, bound: int) -> list[int]:
         """The forward list (entry m is F(m), slot 0 unused), grown term by
@@ -116,20 +125,26 @@ def get_table(n: int) -> SequenceTable:
     """Shared per-order table; all modules route through this registry.
 
     The hit path reads the registry without the lock: a dict read is atomic
-    and entries are only ever added, replaced or removed whole.
+    and entries are only ever added, replaced or removed whole. It skips
+    `require_order` only for a plain int: an equal key such as 3.0 would
+    find the order-3 table, and every registered order passed
+    `require_order` when its table was built.
     """
+    if type(n) is int:
+        table = _TABLES.get(n)
+        if table is not None:
+            return table
     require_order(n)
-    table = _TABLES.get(n)
-    if table is None:
-        with _REGISTRY_LOCK:
-            table = _TABLES.get(n)
-            if table is None:
-                table = _TABLES[n] = SequenceTable(n)
+    with _REGISTRY_LOCK:
+        table = _TABLES.get(n)
+        if table is None:
+            table = _TABLES[n] = SequenceTable(n)
     return table
 
 
 def term(n: int, m: int) -> int:
     """F(n, m) from the shared table."""
+    require_int("index", m)
     return get_table(n).term(m)
 
 

@@ -34,6 +34,7 @@ CHUNK_LETTERS = 4096
 def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
     """Letters of the block at index m >= 1, via the defining rewriting."""
     require_order(n)
+    require_int("block index", m)
     if m < 1:
         raise ValueError(f"block index must be >= 1, got {m!r}")
     # Sizes are reported by bit length: str() of an int above 4300 digits
@@ -65,9 +66,14 @@ def stream_chunks(n: int) -> Iterator[tuple[int, ...]]:
     concatenation always stays a block, and the blocks converge to the word.
     Each block is expanded by B(j) = B(j-1) . B(j-n) on an explicit stack
     until it is short enough to be a leaf, and leaves are yielded whole.
-    The same leaf tuple is yielded every time its block recurs.
+    The same leaf tuple is yielded every time its block recurs. The order
+    is checked here, at the call, not at the first chunk.
     """
     require_order(n)
+    return _chunks(n)
+
+
+def _chunks(n: int) -> Iterator[tuple[int, ...]]:
     leaves: list[tuple[int, ...]] = [()] + [(i,) for i in range(1, n + 1)]
     while len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
         leaves.append(leaves[-1] + leaves[-n])
@@ -116,6 +122,7 @@ def count_block(n: int, m: int) -> list[int]:
     when m is small. Does not build the block.
     """
     require_order(n)
+    require_int("block index", m)
     if m < 1:
         raise ValueError(f"block index must be >= 1, got {m!r}")
     table = get_table(n)
@@ -130,12 +137,33 @@ def count_prefix(n: int, length: int) -> list[int]:
     require_order(n)
     if length < 0:
         raise ValueError(f"prefix length must be >= 0, got {length!r}")
+    return _counts_over(n, decompose(n, length))
+
+
+def _counts_over(n: int, indices: list[int]) -> list[int]:
+    """Per-letter counts of the blocks at `indices` together: the closed
+    form of `count_block` summed over them.
+
+    The terms of index c are F(c-n+1) (letter a_n) and F(c-n), ...,
+    F(c-2n+2) (letters a_1, ..., a_(n-1)). They are read straight off the
+    forward list when c >= 2n - 1 and through `term`, which reaches the
+    backward extension, otherwise.
+    """
     table = get_table(n)
     counts = [0] * n
-    for c in decompose(n, length):
-        for i in range(1, n):
-            counts[i - 1] += table.term(c - (n + i - 1))
-        counts[n - 1] += table.term(c - (n - 1))
+    if not indices:
+        return counts
+    fwd = table.forward_through(indices[-1])
+    last = n - 1
+    for c in indices:
+        if c >= 2 * n - 1:
+            for i in range(last):
+                counts[i] += fwd[c - n - i]
+            counts[last] += fwd[c - last]
+        else:
+            for i in range(last):
+                counts[i] += table.term(c - n - i)
+            counts[last] += table.term(c - last)
     return counts
 
 

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 import sys
 from itertools import islice
 
@@ -165,6 +166,7 @@ def test_verify_small_pass(capsys):
                        "--orders", "3", "--depth", "10", "--staircase-max", "2")
     assert code == 0
     assert out.count("[PASS]") == 2
+    assert re.search(r"^\[PASS\] concat-prefixes: \d+ cases in \d+\.\d\d s$", out, re.M)
 
 
 def test_verify_json(capsys):
@@ -176,6 +178,7 @@ def test_verify_json(capsys):
     assert len(reports) == 1
     assert reports[0]["check_id"] == "block-counts"
     assert reports[0]["pass"] is True
+    assert reports[0]["elapsed_s"] >= 0
 
 
 def test_verify_n_max_reaches_both_sweeps(capsys):

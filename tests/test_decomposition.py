@@ -57,6 +57,28 @@ def test_recompose_rejects_low_first_index():
         recompose(3, [2, 6])
 
 
+@pytest.mark.parametrize("indices", [[3.0, 8], [3, 8.0], [3, 8.5], [True, 8], ["3", 8], [3, None]])
+def test_recompose_rejects_non_integer_index(indices):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        recompose(3, indices)
+
+
+@pytest.mark.parametrize("n", [2, 3, 6])
+def test_recompose_empty_is_zero(n):
+    assert recompose(n, []) == 0
+
+
+def test_validate_messages():
+    with pytest.raises(InvalidDecomposition, match="^first index 2 is below the order 3$"):
+        validate(3, [2, 9])
+    # several gaps are too small; the first one is reported
+    with pytest.raises(InvalidDecomposition,
+                       match="^gap 2 between indices 6 and 8 is below 3$"):
+        validate(3, [3, 6, 8, 9, 10])
+    validate(3, [3, 6, 9])
+    validate(3, [])
+
+
 @pytest.mark.parametrize("n,value,max_index,expected", [
     (3, 10, 12, [[3, 8]]),
     (3, 7, 12, [[3, 7]]),

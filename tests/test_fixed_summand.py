@@ -87,6 +87,12 @@ def test_largest_summand_rows_examples(n, j, expected):
     assert largest_summand_rows(n, j) == expected
 
 
+@pytest.mark.parametrize("j", [5.0, True, "5"])
+def test_largest_summand_rows_rejects_non_integer_j(j):
+    with pytest.raises(ValueError, match="j must be an integer"):
+        largest_summand_rows(3, j)
+
+
 def test_largest_summand_rows_rejects_low_j():
     with pytest.raises(ValueError):
         largest_summand_rows(3, 2)
@@ -179,3 +185,9 @@ def test_gap_rule_matches_letters():
     letters = list(islice(stream(n), 39))
     for j, (a, b) in enumerate(zip(members, members[1:])):
         assert b - a == term(n, k + letters[j]), j
+
+
+@pytest.mark.parametrize("args", [(2.0, 1, 1), (1, True, 1), (1, 1, 1.0), (1, 1, True)])
+def test_telescoping_rejects_non_integer_args(args):
+    with pytest.raises(ValueError, match="must be an integer"):
+        telescoping_identity(3, *args)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from nzeck import perturbed_table, term
+from nzeck import IndexNotFound, block, decompose, harness, perturbed_table, term
 from nzeck.harness import (CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -100,3 +100,48 @@ def test_perturbed_table_rejects_backward_index():
     with pytest.raises(ValueError):
         with perturbed_table(3, 0):
             pass
+
+
+def test_prefix_check_names_the_block_that_differs(monkeypatch):
+    # flip the last letter of B(7) (n = 3): the counts still agree, but every
+    # length whose decomposition uses index 7 must fail its prefix case
+    def flipped(n, m):
+        letters = block(n, m)
+        if m == 7:
+            letters[-1] = letters[-1] % n + 1
+        return letters
+    monkeypatch.setattr(harness, "block", flipped)
+    report = check_decomposition_prefix(n_range=(3,), length_max=60)
+    assert not report.passed
+    uses_7 = [length for length in range(1, 61) if 7 in decompose(3, length)]
+    assert report.failures_total == len(uses_7)
+    inputs, expected, actual = report.failures[0]
+    assert inputs == {"n": 3, "length": uses_7[0], "sub": "prefix"}
+    assert expected == uses_7[0]
+    assert actual.startswith("block 7 differs from the word")
+
+
+def test_prefix_check_counts_both_cases_when_decompose_fails(monkeypatch):
+    def failing(n, value):
+        if value == 5:
+            raise IndexNotFound("injected")
+        return decompose(n, value)
+    monkeypatch.setattr(harness, "decompose", failing)
+    report = check_decomposition_prefix(n_range=(3,), length_max=10)
+    assert report.cases_run == 20
+    assert report.failures_total == 2
+    assert [f[0]["sub"] for f in report.failures] == ["counts", "prefix"]
+    assert all(f[2] == "IndexNotFound: injected" for f in report.failures)
+
+
+def test_prefix_check_handles_orders_above_one_byte():
+    assert check_decomposition_prefix(n_range=(300,), length_max=400).passed
+
+
+def test_reports_carry_elapsed_time():
+    report = check_concat_prefixes(n_range=(3,), depth=10)
+    assert report.elapsed_s > 0
+    assert report.to_json_dict()["elapsed_s"] == report.elapsed_s
+    assert f"in {report.elapsed_s:.2f} s" in report.summary()
+    # timing is not part of a report's identity
+    assert report == check_concat_prefixes(n_range=(3,), depth=10)

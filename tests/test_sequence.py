@@ -91,6 +91,20 @@ def test_rejects_bad_order():
         SequenceTable(0)
 
 
+@pytest.mark.parametrize("order", [3.0, True, 2.5, "3"])
+def test_get_table_hit_path_still_rejects_non_int_orders(order):
+    # 3.0 == 3 would find the order-3 table in the registry
+    get_table(3)
+    with pytest.raises(ValueError, match="order n must be an integer"):
+        get_table(order)
+
+
+@pytest.mark.parametrize("m", [2.5, 7.0, True, "7", None])
+def test_term_rejects_non_integer_index(m):
+    with pytest.raises(ValueError, match="index must be an integer"):
+        term(3, m)
+
+
 def test_concurrent_reads_agree():
     fresh = SequenceTable(4)
     with ThreadPoolExecutor(max_workers=8) as pool:

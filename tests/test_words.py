@@ -9,6 +9,7 @@ from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
                    SequenceTable, block, char_at, count_block, count_prefix,
                    count_prefix_scan, decompose, format_letters, get_table,
                    sequence, stream, stream_chunks, term)
+from nzeck.words import _counts_over
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -46,6 +47,12 @@ def test_block_rejects_bad_index():
         block(3, 0)
 
 
+@pytest.mark.parametrize("m", [True, 2.5, 8.0, "8", None])
+def test_block_rejects_non_integer_index(m):
+    with pytest.raises(ValueError, match="block index must be an integer"):
+        block(3, m)
+
+
 def test_block_length_cap():
     with pytest.raises(BlockTooLarge):
         block(3, 60, length_cap=1000)
@@ -66,6 +73,13 @@ def test_block_early_refusal_bound(n):
     # exceeds the cap; that is sound only if this lower bound holds
     for m in range(n, 400):
         assert term(n, m) >= 2 ** ((m - n) // n)
+
+
+@pytest.mark.parametrize("make", [stream, stream_chunks])
+def test_stream_checks_order_at_the_call(make):
+    # no next(): the bad order must be refused before any letter is drawn
+    with pytest.raises(ValueError, match="order n must be an integer"):
+        make(1)
 
 
 def test_stream_fixtures():
@@ -208,6 +222,21 @@ def test_count_block_matches_scan(n):
 ])
 def test_count_prefix_examples(n, length, expected):
     assert count_prefix(n, length) == expected
+
+
+@pytest.mark.parametrize("m", [7.0, True, "7"])
+def test_count_block_rejects_non_integer_index(m):
+    with pytest.raises(ValueError, match="block index must be an integer"):
+        count_block(3, m)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
+def test_counts_over_decomposition_matches_scan(n):
+    # lengths to 300 reach indices below 2n - 1, whose terms are backward
+    for length in range(301):
+        expected = count_prefix_scan(n, length)
+        assert _counts_over(n, decompose(n, length)) == expected, length
+        assert count_prefix(n, length) == expected, length
 
 
 @pytest.mark.parametrize("n,length,expected", [
