@@ -87,15 +87,18 @@ def recompose(n: int, indices: list[int]) -> int:
     """Sum of the terms at `indices`, after validating the invariants.
 
     Valid indices ascend from n up, so one growth through the last index
-    makes every term a plain read of the forward list. A non-int index
-    (bool included) fails on that path, as a TypeError or as an invalid
-    decomposition, and is then reported as ValueError.
+    makes every term a plain read of the forward list. The last index is
+    type-checked before that growth, so a float such as 1e9 cannot drive
+    it; any other non-int index (bool included) fails on the read, as a
+    TypeError or as an invalid decomposition, and is then reported as
+    ValueError.
     """
     table = get_table(n)
     try:
         validate(n, indices)
         if not indices:
             return 0
+        require_int("index", indices[-1])
         return sum(map(table.forward_through(indices[-1]).__getitem__, indices))
     except (TypeError, InvalidDecomposition):
         for c in indices:

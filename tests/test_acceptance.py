@@ -50,11 +50,13 @@ def fixed_summand():
 
 
 def test_criterion_01_unique_decomposition_and_round_trip():
+    started = time.perf_counter()
     result = check_unique_decomposition(n_range=(2, 3, 4, 5, 6), value_max=100_000)
-    ok = result.passed and result.elapsed_s < 60.0
+    elapsed = time.perf_counter() - started
+    ok = result.passed and elapsed < 60.0
     report(1, "uniqueness (exhaustive, N<=2000) and round trip (N<=1e5, n=2..6)",
-           ok, f"{result.cases_run} cases in {result.elapsed_s:.1f}s; "
-               f"failures={result.failures_total}")
+           ok, f"{result.cases_run} cases in {elapsed:.1f}s; failures={result.failures_total}")
+    assert 0.0 < result.elapsed_s <= elapsed
 
 
 def test_criterion_02_word_fixtures():

@@ -57,7 +57,8 @@ def test_recompose_rejects_low_first_index():
         recompose(3, [2, 6])
 
 
-@pytest.mark.parametrize("indices", [[3.0, 8], [3, 8.0], [3, 8.5], [True, 8], ["3", 8], [3, None]])
+@pytest.mark.parametrize("indices", [[3.0, 8], [3, 8.0], [3, 8.5], [True, 8], ["3", 8], [3, None],
+                                     [3, 7.5, 11], [3, 1e9], [3, float("inf")]])
 def test_recompose_rejects_non_integer_index(indices):
     with pytest.raises(ValueError, match="index must be an integer"):
         recompose(3, indices)
