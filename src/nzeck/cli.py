@@ -7,6 +7,7 @@ import inspect
 import json
 import os
 import sys
+from functools import cache
 from itertools import islice
 
 from . import decomposition, fixed_summand, harness, sequence, words
@@ -16,20 +17,41 @@ ENV_LENGTH_CAP = "NZECK_LENGTH_CAP"
 ENV_SCAN_LIMIT = "NZECK_SCAN_LIMIT"
 
 
+def _env_int(name: str, default: int) -> int:
+    text = os.environ.get(name)
+    if text is None:
+        return default
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _length_cap(args) -> int:
     if args.length_cap is not None:
         return args.length_cap
-    return int(os.environ.get(ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP))
+    return _env_int(ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
 
 
 def _scan_limit(args) -> int:
     if args.scan_limit is not None:
         return args.scan_limit
-    return int(os.environ.get(ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
+    return _env_int(ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
 
 
 def _orders(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
+
+
+def _count(text: str) -> int:
+    """argparse type of a count flag: an integer >= 0."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
 
 
 def cmd_term(args) -> int:
@@ -170,7 +192,16 @@ def _selected_checks(text: str | None) -> list[str]:
     return names
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser of every subcommand, built on the first call and
+    shared by every later one in the process.
+
+    Building it costs over ten times as much as parsing a command line with
+    it, so `main` reuses it. Parsing does not change it: each parse
+    makes a fresh Namespace, and handlers are bound here. Callers must not
+    mutate the returned parser.
+    """
     parser = argparse.ArgumentParser(
         prog="nzeck",
         description="Gap-n decompositions, the attached infinite words, and "
@@ -200,7 +231,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("string", help="prefix of the infinite word")
     common(p)
-    p.add_argument("--prefix", type=int, required=True, help="number of letters")
+    p.add_argument("--prefix", type=_count, required=True, help="number of letters")
     p.add_argument("--scan-limit", type=int, default=None)
     p.set_defaults(handler=cmd_string)
 
@@ -247,8 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated check ids (default: all)")
     p.add_argument("--orders", type=_orders, default=None,
                    help="comma-separated orders to sweep, e.g. 3,4")
-    p.add_argument("--n-max", type=int, default=None)
-    p.add_argument("--depth", type=int, default=None)
+    p.add_argument("--n-max", type=_count, default=None)
+    p.add_argument("--depth", type=_count, default=None)
     p.add_argument("--staircase-max", type=int, default=None)
     p.add_argument("--bound", type=int, default=None)
     p.add_argument("--max-k-offset", type=int, default=None)
@@ -259,6 +290,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command line (default: sys.argv[1:]) and return its exit code:
+    0 on success, 1 for a domain error, 2 for a usage error. argparse's own
+    usage errors and --help raise SystemExit instead.
+
+    Every call in a process parses with the one shared `build_parser()`,
+    built on the first call, not at import; it must not be mutated.
+    """
     # Integers are exact at any size, so lift CPython's int<->str digit limit
     # (3.10.7 on) while parsing and printing them, and restore it on return.
     limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0

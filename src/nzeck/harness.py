@@ -34,7 +34,8 @@ MAX_RECORDED_FAILURES = 5
 
 @dataclass
 class CheckReport:
-    """Outcome of one check: pass iff no failure was observed.
+    """Outcome of one check: pass iff it ran at least one case and observed
+    no failure, so an empty sweep is never green.
 
     `elapsed_s` is the check's wall time, measured once around the whole
     sweep; it is left out of equality so reruns of a check compare equal.
@@ -49,7 +50,7 @@ class CheckReport:
 
     @property
     def passed(self) -> bool:
-        return self.failures_total == 0
+        return self.failures_total == 0 and self.cases_run > 0
 
     def case(self, inputs: dict, expected, actual) -> None:
         self.cases_run += 1
@@ -75,7 +76,7 @@ class CheckReport:
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         line = f"[{status}] {self.check_id}: {self.cases_run} cases in {self.elapsed_s:.2f} s"
-        if not self.passed:
+        if self.failures_total:
             line += f", {self.failures_total} failures"
         return line
 

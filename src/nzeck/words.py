@@ -108,6 +108,7 @@ def char_at(n: int, pos: int) -> int:
     periodic in c with period n (last of B(c) = last of B(c-n)), giving
     last(B(c)) = ((c - 1) mod n) + 1. Cost is one greedy decomposition.
     """
+    require_int("position", pos)
     if pos < 1:
         raise ValueError(f"position must be >= 1, got {pos!r}")
     smallest = decompose(n, pos)[0]
@@ -135,6 +136,7 @@ def count_prefix(n: int, length: int) -> list[int]:
     """Per-letter counts of the prefix of the given length, by the closed
     form summed over the decomposition indices of `length`."""
     require_order(n)
+    require_int("prefix length", length)
     if length < 0:
         raise ValueError(f"prefix length must be >= 0, got {length!r}")
     return _counts_over(n, decompose(n, length))

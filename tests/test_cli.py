@@ -1,16 +1,21 @@
 """CLI surface: output formats, exit codes, environment overrides."""
 
 import json
+import os
 import random
 import re
+import subprocess
 import sys
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 from nzeck import (decompose, largest_summand_rows, perturbed_table, recompose,
                    smallest_summand_members, stream, term)
-from nzeck.cli import main
+from nzeck.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -248,6 +253,52 @@ def test_length_cap_env_override(capsys, monkeypatch):
     assert "BlockTooLarge" in err
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("NZECK_SCAN_LIMIT", ["string", "-n", "3", "--prefix", "10"]),
+    ("NZECK_SCAN_LIMIT", ["counts", "-n", "3", "--prefix", "10", "--scan"]),
+    ("NZECK_LENGTH_CAP", ["block", "-n", "3", "-m", "8"]),
+])
+def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, argv):
+    monkeypatch.setenv(name, "abc")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{name} must be an integer, got 'abc'" in err
+
+
+@pytest.mark.parametrize("flag,argv", [
+    ("--prefix", ["string", "-n", "3", "--prefix", "-3"]),
+    ("--n-max", ["verify", "--n-max", "-5", "--checks", "decomposition-prefix"]),
+    ("--n-max", ["verify", "--n-max", "-5", "--checks", "unique-decomposition"]),
+    ("--depth", ["verify", "--depth", "-5", "--checks", "concat-prefixes"]),
+])
+def test_negative_count_flag_is_usage_error_naming_the_flag(capsys, flag, argv):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= 0, got -" in err
+    assert "islice" not in err
+
+
+def test_non_integer_count_flag_keeps_argparse_message(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["string", "--prefix", "abc"])
+    assert info.value.code == 2
+    assert "argument --prefix: invalid int value: 'abc'" in capsys.readouterr().err
+
+
+def test_verify_that_runs_no_case_fails(capsys):
+    code, out, _ = run(capsys, "verify", "--n-max", "0",
+                       "--checks", "unique-decomposition,decomposition-prefix")
+    assert code == 1
+    assert re.search(r"^\[FAIL\] unique-decomposition: 0 cases", out, re.M)
+    assert re.search(r"^\[FAIL\] decomposition-prefix: 0 cases", out, re.M)
+    code, out, _ = run(capsys, "verify", "--orders", ",", "--checks", "block-counts",
+                       "--format", "json")
+    assert code == 1
+    assert json.loads(out)[0]["pass"] is False
+
+
 def test_bad_order_is_usage_error(capsys):
     code, _, err = run(capsys, "decompose", "-n", "1", "5")
     assert code == 2
@@ -300,3 +351,60 @@ def test_digit_limit_restored_after_main(capsys):
     with pytest.raises(SystemExit):
         main(["term", "-n", "3"])
     assert sys.get_int_max_str_digits() == before
+
+
+def test_shared_parser_keeps_no_state_between_calls(capsys):
+    code, out, _ = run(capsys, "verify", "--checks", "block-counts", "--orders", "3",
+                       "--depth", "8")
+    assert code == 0
+    code, out, _ = run(capsys, "verify", "--checks", "block-counts", "--format", "json")
+    assert code == 0
+    report = json.loads(out)[0]
+    assert report["parameters"]["n_range"] == [2, 3, 4, 5]
+    assert report["parameters"]["depth"] == 25
+
+
+def test_shared_parser_after_usage_error(capsys):
+    with pytest.raises(SystemExit) as info:
+        main(["decompose", "-n", "3", "--format", "xml", "10"])
+    assert info.value.code == 2
+    capsys.readouterr()
+    code, out, _ = run(capsys, "decompose", "10")
+    assert code == 0
+    assert out == "10 = F(3,3) + F(3,8)\n"
+
+
+def test_shared_parser_json_then_text(capsys):
+    code, out, _ = run(capsys, "char-at", "-n", "4", "--format", "json", "5")
+    assert code == 0
+    assert json.loads(out) == {"n": 4, "pos": "5", "letter": 4}
+    code, out, _ = run(capsys, "char-at", "5")
+    assert code == 0
+    assert out == "a3\n"
+
+
+def test_parser_is_built_on_the_first_call_not_at_import():
+    # every benchmark set-up times this import, so the parser must stay lazy
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    script = ("import nzeck.cli as cli\n"
+              "print(cli.build_parser.cache_info().currsize)\n"
+              "cli.main(['term', '-m', '7'])\n"
+              "cli.main(['decompose', '10'])\n"
+              "info = cli.build_parser.cache_info()\n"
+              "print(info.misses, info.hits)\n")
+    result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                            text=True, check=True)
+    assert result.stdout.splitlines() == ["0", "6", "10 = F(3,3) + F(3,8)", "1 1"]
+
+
+def test_help_matches_a_freshly_built_parser(capsys):
+    fresh = build_parser.__wrapped__().format_help()
+    for _ in range(2):
+        with pytest.raises(SystemExit) as info:
+            main(["--help"])
+        assert info.value.code == 0
+        assert capsys.readouterr().out == fresh
+    for command in ("term", "decompose", "recompose", "string", "block", "char-at",
+                    "counts", "qseq", "table1", "zset", "verify"):
+        assert command in fresh

@@ -32,6 +32,12 @@ def test_all_checks_pass_small():
         assert report.cases_run >= 1
 
 
+def test_empty_sweep_is_not_green():
+    report = CheckReport("empty", {})
+    assert not report.passed
+    assert report.summary().startswith("[FAIL] empty: 0 cases")
+
+
 def test_checks_are_deterministic():
     first = check_fixed_summand(**SMALL["fixed"])
     second = check_fixed_summand(**SMALL["fixed"])

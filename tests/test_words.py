@@ -174,6 +174,12 @@ def test_char_at_rejects_bad_position():
         char_at(3, 0)
 
 
+@pytest.mark.parametrize("pos", ["10", 2.5, True])
+def test_char_at_rejects_non_integer_position(pos):
+    with pytest.raises(ValueError, match="position must be an integer"):
+        char_at(3, pos)
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_char_at_matches_stream(n):
     for pos, letter in enumerate(take(n, 3000), start=1):
@@ -222,6 +228,12 @@ def test_count_block_matches_scan(n):
 ])
 def test_count_prefix_examples(n, length, expected):
     assert count_prefix(n, length) == expected
+
+
+@pytest.mark.parametrize("length", ["10", 2.5, True])
+def test_count_prefix_rejects_non_integer_length(length):
+    with pytest.raises(ValueError, match="prefix length must be an integer"):
+        count_prefix(3, length)
 
 
 @pytest.mark.parametrize("m", [7.0, True, "7"])
