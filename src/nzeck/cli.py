@@ -43,15 +43,20 @@ def _orders(text: str) -> list[int]:
     return [int(part) for part in text.split(",") if part]
 
 
-def _count(text: str) -> int:
-    """argparse type of a count flag: an integer >= 0."""
+def _count(text: str, low: int = 0) -> int:
+    """argparse type of a count flag: an integer >= low (default 0)."""
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
     return value
+
+
+def _positive(text: str) -> int:
+    """argparse type of a flag that must be an integer >= 1."""
+    return _count(text, 1)
 
 
 def cmd_term(args) -> int:
@@ -280,9 +285,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated orders to sweep, e.g. 3,4")
     p.add_argument("--n-max", type=_count, default=None)
     p.add_argument("--depth", type=_count, default=None)
-    p.add_argument("--staircase-max", type=int, default=None)
-    p.add_argument("--bound", type=int, default=None)
-    p.add_argument("--max-k-offset", type=int, default=None)
+    p.add_argument("--staircase-max", type=_count, default=None)
+    p.add_argument("--bound", type=_positive, default=None)
+    p.add_argument("--max-k-offset", type=_count, default=None)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(handler=cmd_verify)
 

@@ -17,7 +17,8 @@ infinite word the generators are driven by.
 
 from __future__ import annotations
 
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice, repeat, takewhile
+from operator import add, ge
 from typing import Iterator
 
 from .decomposition import successive_decompositions
@@ -84,25 +85,31 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     q, q+1, ..., q+j_max with j_max = F(n, k-(n-1)) - 1, the offsets being
     the values representable entirely below index k. The base q grows with
     every member (letter counts only grow and all terms are positive), so
-    stopping at the first q > bound is sound. Runs from distinct members
-    never overlap; each base is checked to lie above the previous run, and
-    NzeckError is raised if it does not.
+    the bases are taken while q <= bound. Runs from distinct members never
+    overlap: one C-level pass checks that every base lies above the previous
+    run's end, and NzeckError names the first base that does not. The last
+    run is clipped to bound, and the runs are chained as ranges; when
+    j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
+    the answer.
     """
     _require_fixed_index(n, k)
     require_int("bound", bound)
     if bound < 1:
         raise ValueError(f"bound must be >= 1, got {bound!r}")
-    j_max = get_table(n).term(k - (n - 1)) - 1
-    out: list[int] = []
-    run_hi = 0
-    for base in smallest_summand_stream(n, k):
-        if base > bound:
-            break
-        if base <= run_hi:
-            raise NzeckError(f"overlapping runs for n={n}, k={k}: base {base} "
-                             f"is not above the previous run's end {run_hi}")
-        run_hi = min(base + j_max, bound)
-        out.extend(range(base, run_hi + 1))
+    run_len = get_table(n).term(k - (n - 1))
+    bases = list(takewhile(bound.__ge__, smallest_summand_stream(n, k)))
+    # run ends (exclusive) stay lazy: a list of them would be held beside
+    # the answer for no gain
+    if not all(map(ge, bases[1:], map(add, bases, repeat(run_len)))):
+        for prev, base in zip(bases, bases[1:]):
+            if base < prev + run_len:
+                raise NzeckError(f"overlapping runs for n={n}, k={k}: base {base} is "
+                                 f"not above the previous run's end {prev + run_len - 1}")
+    if run_len == 1 or not bases:
+        return bases
+    last = bases[-1]
+    out = list(chain.from_iterable(map(range, bases[:-1], map(add, bases, repeat(run_len)))))
+    out.extend(range(last, min(last + run_len, bound + 1)))
     return out
 
 

@@ -113,6 +113,17 @@ class SequenceTable:
             raise ValueError(f"bound must be >= 1, got {bound!r}")
         return bisect_right(self.forward_past(bound), bound, self.n) - 1
 
+    def stats(self) -> dict[str, int]:
+        """The window {"lo", "hi"} and "approx_bytes": the magnitudes of the
+        stored terms, each rounded up to whole bytes, summed; object headers
+        are not counted. Computed on each call, in one pass over the table.
+        """
+        with self._lock:
+            terms = self._fwd[1:] + list(self._back.values())
+            lo, hi = self._lo, self.hi
+        return {"lo": lo, "hi": hi,
+                "approx_bytes": sum((abs(t).bit_length() + 7) // 8 for t in terms)}
+
     def __repr__(self) -> str:
         return f"SequenceTable(n={self.n}, window=[{self._lo}, {self.hi}])"
 

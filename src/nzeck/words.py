@@ -32,7 +32,14 @@ CHUNK_LETTERS = 4096
 
 
 def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
-    """Letters of the block at index m >= 1, via the defining rewriting."""
+    """Letters of the block at index m >= 1, via the defining rewriting.
+
+    A window of the last n blocks is rewritten by B(j) = B(j-1) + B(j-n)
+    from the seeds a_1, ..., a_n. Blocks are held as `bytes` while they are
+    built (one byte per letter, so each step is a C-level copy) and as
+    tuples for orders n >= 256, whose letters do not fit a byte. The result
+    is a fresh list of ints.
+    """
     require_order(n)
     require_int("block index", m)
     if m < 1:
@@ -52,10 +59,11 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
                             f"above the {cap_bits}-bit length cap")
     if m <= n:
         return [m]
-    window: deque[list[int]] = deque(([i] for i in range(1, n + 1)), maxlen=n)
+    seed = bytes if n < 256 else tuple
+    window = deque((seed((i,)) for i in range(1, n + 1)), maxlen=n)
     for _ in range(n + 1, m + 1):
         window.append(window[-1] + window[0])
-    return window[-1]
+    return list(window[-1])
 
 
 def stream_chunks(n: int) -> Iterator[tuple[int, ...]]:

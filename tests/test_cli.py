@@ -270,6 +270,8 @@ def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, 
     ("--n-max", ["verify", "--n-max", "-5", "--checks", "decomposition-prefix"]),
     ("--n-max", ["verify", "--n-max", "-5", "--checks", "unique-decomposition"]),
     ("--depth", ["verify", "--depth", "-5", "--checks", "concat-prefixes"]),
+    ("--max-k-offset", ["verify", "--max-k-offset", "-5", "--checks", "fixed-summand"]),
+    ("--staircase-max", ["verify", "--staircase-max", "-5", "--checks", "block-counts"]),
 ])
 def test_negative_count_flag_is_usage_error_naming_the_flag(capsys, flag, argv):
     with pytest.raises(SystemExit) as info:
@@ -278,6 +280,14 @@ def test_negative_count_flag_is_usage_error_naming_the_flag(capsys, flag, argv):
     err = capsys.readouterr().err
     assert f"argument {flag}: must be >= 0, got -" in err
     assert "islice" not in err
+
+
+@pytest.mark.parametrize("value", ["-5", "0"])
+def test_non_positive_verify_bound_is_usage_error(capsys, value):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--bound", value, "--checks", "fixed-summand"])
+    assert info.value.code == 2
+    assert f"argument --bound: must be >= 1, got {value}" in capsys.readouterr().err
 
 
 def test_non_integer_count_flag_keeps_argparse_message(capsys):

@@ -135,6 +135,30 @@ def test_any_summand_matches_scan(n):
         assert any_summand_members(n, k, 3000) == any_summand_scan(n, k, 3000), k
 
 
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_any_summand_members_match_scan_with_and_without_offsets(n):
+    # k <= 2n - 1 gives single-member runs (j_max = 0); k = 2n + 1 gives
+    # runs of F(n, n + 2) = 3 members
+    for k in (n + 1, n + 3, 2 * n + 1):
+        run_len = term(n, k - (n - 1))
+        assert (run_len == 1) == (k <= 2 * n - 1), k
+        assert any_summand_members(n, k, 20_000) == any_summand_scan(n, k, 20_000), k
+
+
+def test_any_summand_members_clip_the_last_run_to_the_bound():
+    # n = 3, k = 8: bases 9, 37, ..., each with a run of F(3, 6) = 4 members
+    assert any_summand_members(3, 8, 12) == [9, 10, 11, 12]
+    assert any_summand_members(3, 8, 10) == [9, 10]
+    assert any_summand_members(3, 8, 38) == [9, 10, 11, 12, 37, 38]
+    for bound in range(1, 300):
+        assert any_summand_members(3, 8, bound) == any_summand_scan(3, 8, bound), bound
+
+
+def test_any_summand_members_below_the_first_base_are_empty():
+    assert any_summand_members(3, 8, 8) == []
+    assert any_summand_members(5, 40, 1) == []
+
+
 def test_any_summand_members_sorted_distinct():
     members = any_summand_members(3, 8, 5000)
     assert members == sorted(set(members))
@@ -145,8 +169,10 @@ def test_any_summand_members_rejects_overlapping_runs(monkeypatch):
     table = get_table(3)
     real_term = table.term
     monkeypatch.setattr(table, "term", lambda m: 100 if m == 2 else real_term(m))
-    with pytest.raises(NzeckError, match="overlapping runs"):
+    # bases 2, 8, ...: the run 2..101 swallows base 8
+    with pytest.raises(NzeckError, match="overlapping runs") as info:
         any_summand_members(3, 4, 50)
+    assert "base 8 is not above the previous run's end 101" in str(info.value)
 
 
 def test_any_summand_rejects_bad_bound():

@@ -150,3 +150,12 @@ def test_concurrent_forward_past_matches_serial_growth():
     assert all(live is shared._fwd for live in lists)
     assert shared._fwd == reference._fwd
     assert shared.hi == reference.hi
+
+
+def test_stats_report_the_window_and_term_bytes():
+    fresh = SequenceTable(3)
+    assert fresh.stats() == {"lo": 1, "hi": 3, "approx_bytes": 3}
+    fresh.term(500)
+    fresh.term(-5)
+    expected = sum((abs(term(3, m)).bit_length() + 7) // 8 for m in range(-5, 501))
+    assert fresh.stats() == {"lo": -5, "hi": 500, "approx_bytes": expected}

@@ -114,6 +114,31 @@ def test_block_length_law(n):
         assert len(block(n, m)) == term(n, m)
 
 
+def test_block_recursion_for_orders_past_a_byte():
+    # letters above 255 take the tuple path
+    n = 300
+    cached = {m: block(n, m) for m in range(1, 701)}
+    assert max(cached[700]) == n
+    for m in range(n + 1, 701):
+        assert cached[m] == cached[m - 1] + cached[m - n], m
+        assert len(cached[m]) == term(n, m), m
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_block_of_many_letters_is_a_stream_prefix(n):
+    m = get_table(n).largest_index_at_most(10**5)
+    assert block(n, m) == take(n, term(n, m))
+
+
+def test_block_returns_a_fresh_list_of_ints():
+    first = block(3, 12)
+    assert type(first) is list and {type(letter) for letter in first} == {int}
+    expected = list(first)
+    first[0] = 99
+    first.append(7)
+    assert block(3, 12) == expected
+
+
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_blocks_are_stream_prefixes_from_n(n):
     # seeds below index n are single letters a_1..a_{n-1}, not prefixes
