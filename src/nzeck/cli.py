@@ -17,26 +17,21 @@ ENV_LENGTH_CAP = "NZECK_LENGTH_CAP"
 ENV_SCAN_LIMIT = "NZECK_SCAN_LIMIT"
 
 
-def _env_int(name: str, default: int) -> int:
+def _cap(flag: int | None, name: str, default: int) -> int:
+    """A cap: the flag's value if given, else the environment variable
+    `name`, else `default`. The variable must be an integer >= 0."""
+    if flag is not None:
+        return flag
     text = os.environ.get(name)
     if text is None:
         return default
     try:
-        return int(text)
+        value = int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
-
-
-def _length_cap(args) -> int:
-    if args.length_cap is not None:
-        return args.length_cap
-    return _env_int(ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
-
-
-def _scan_limit(args) -> int:
-    if args.scan_limit is not None:
-        return args.scan_limit
-    return _env_int(ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
+    if value < 0:
+        raise ValueError(f"{name} must be >= 0, got {value}")
+    return value
 
 
 def _orders(text: str) -> list[int]:
@@ -89,7 +84,7 @@ def cmd_recompose(args) -> int:
 
 
 def cmd_string(args) -> int:
-    limit = _scan_limit(args)
+    limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
     if args.prefix > limit:
         raise ScanLimitExceeded(f"prefix of {args.prefix} letters exceeds the scan limit {limit}")
     letters = list(islice(words.stream(args.order), args.prefix))
@@ -101,7 +96,8 @@ def cmd_string(args) -> int:
 
 
 def cmd_block(args) -> int:
-    letters = words.block(args.order, args.index, length_cap=_length_cap(args))
+    cap = _cap(args.length_cap, ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
+    letters = words.block(args.order, args.index, length_cap=cap)
     if args.format == "json":
         print(json.dumps({"n": args.order, "m": args.index, "letters": letters}))
     else:
@@ -124,7 +120,8 @@ def cmd_counts(args) -> int:
             raise ValueError("--scan applies to --prefix counts only")
         counts = words.count_block(args.order, args.block)
     elif args.scan:
-        counts = words.count_prefix_scan(args.order, args.prefix, scan_limit=_scan_limit(args))
+        limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
+        counts = words.count_prefix_scan(args.order, args.prefix, scan_limit=limit)
     else:
         counts = words.count_prefix(args.order, args.prefix)
     if args.format == "json":
@@ -237,13 +234,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("string", help="prefix of the infinite word")
     common(p)
     p.add_argument("--prefix", type=_count, required=True, help="number of letters")
-    p.add_argument("--scan-limit", type=int, default=None)
+    p.add_argument("--scan-limit", type=_count, default=None)
     p.set_defaults(handler=cmd_string)
 
     p = sub.add_parser("block", help="letters of one block")
     common(p)
     p.add_argument("-m", "--index", type=int, required=True)
-    p.add_argument("--length-cap", type=int, default=None)
+    p.add_argument("--length-cap", type=_count, default=None)
     p.set_defaults(handler=cmd_block)
 
     p = sub.add_parser("char-at", help="letter at a 1-based position, without streaming")
@@ -258,7 +255,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--block", type=int, help="count one block (closed form)")
     p.add_argument("--scan", action="store_true",
                    help="tally the stream instead of using the closed form")
-    p.add_argument("--scan-limit", type=int, default=None)
+    p.add_argument("--scan-limit", type=_count, default=None)
     p.set_defaults(handler=cmd_counts)
 
     p = sub.add_parser("qseq", help="integers whose smallest summand is fixed")

@@ -214,22 +214,27 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     for n in n_range:
         table = get_table(n)
         for m in range(1, depth + 1):
-            letters = block(n, m)
-            report.case({"n": n, "m": m, "sub": "length"}, table.term(m), len(letters))
-            tally = [0] * n
-            for x in letters:
-                tally[x - 1] += 1
+            report.guarded({"n": n, "m": m, "sub": "length"},
+                           lambda: (table.term(m), len(block(n, m))))
             report.guarded({"n": n, "m": m, "sub": "counts"},
-                           lambda n=n, m=m, t=tally: (t, count_block(n, m)))
+                           lambda: (list(map(block(n, m).count, range(1, n + 1))),
+                                    count_block(n, m)))
         for m in range(1, staircase_max + 1):
             indices = [n + (n - 1) * t for t in range(m, -1, -1)]
-            stair: list[int] = []
-            for c in indices:
-                stair += block(n, c)
-            length = sum(table.term(c) for c in indices)
-            report.case({"n": n, "staircase_m": m},
-                        list(islice(stream(n), length)), stair)
+            report.guarded({"n": n, "staircase_m": m},
+                           lambda: _staircase_pair(n, indices))
     return report
+
+
+def _staircase_pair(n: int, indices: list[int]) -> tuple[list[int], list[int]]:
+    """The word's prefix of length sum F(c) over `indices`, by the table,
+    and the blocks at `indices` concatenated. The blocks are built first,
+    so a length above the cap is refused before the prefix is drawn."""
+    stair: list[int] = []
+    for c in indices:
+        stair += block(n, c)
+    length = sum(map(get_table(n).term, indices))
+    return list(islice(stream(n), length)), stair
 
 
 @_timed

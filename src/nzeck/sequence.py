@@ -42,10 +42,9 @@ class SequenceTable:
         self.n = n
         # _fwd[m] = F(m) for 1 <= m <= hi; slot 0 unused
         self._fwd: list[int] = [0] + [1] * n
-        # backward values for m <= 0, filled lazily down from _lo
-        self._back: dict[int, int] = {}
-        self._lo = 1
-        self._lock = threading.RLock()
+        # _back[k] = F(-k) for 0 <= k <= -lo
+        self._back: list[int] = []
+        self._lock = threading.Lock()
 
     @property
     def hi(self) -> int:
@@ -53,39 +52,36 @@ class SequenceTable:
 
     @property
     def lo(self) -> int:
-        return self._lo
+        return 1 - len(self._back)
 
     def term(self, m: int) -> int:
         """F(n, m) for any integer m, extending the window on demand."""
         if m >= 1:
             fwd = self._fwd
             if m >= len(fwd):
-                self._grow(m)
+                self.forward_through(m)
             return fwd[m]
-        if m < self._lo:
-            self._extend_back(m)
-        return self._back[m]
-
-    def _grow(self, m: int) -> None:
-        with self._lock:
-            n = self.n
-            fwd = self._fwd
-            while len(fwd) <= m:
-                fwd.append(fwd[-1] + fwd[len(fwd) - n])
-
-    def _extend_back(self, m: int) -> None:
-        with self._lock:
-            while self._lo > m:
-                j = self._lo - 1
-                self._back[j] = self.term(j + self.n) - self.term(j + self.n - 1)
-                self._lo = j
+        back = self._back
+        if -m >= len(back):
+            with self._lock:
+                fwd = self._fwd
+                while len(back) <= -m:
+                    # F(j - n) = F(j) - F(j - 1) with j <= n: each read is a
+                    # seed of _fwd or a backward term filled before
+                    j = self.n - len(back)
+                    back.append((fwd[j] if j >= 1 else back[-j])
+                                - (fwd[j - 1] if j >= 2 else back[1 - j]))
+        return back[-m]
 
     def forward_through(self, m: int) -> list[int]:
         """The forward list (entry m is F(m), slot 0 unused), grown just
         until index m exists. Live and read-only, like `forward_past`."""
         fwd = self._fwd
         if m >= len(fwd):
-            self._grow(m)
+            with self._lock:
+                n = self.n
+                while len(fwd) <= m:
+                    fwd.append(fwd[-1] + fwd[len(fwd) - n])
         return fwd
 
     def forward_past(self, bound: int) -> list[int]:
@@ -119,13 +115,13 @@ class SequenceTable:
         are not counted. Computed on each call, in one pass over the table.
         """
         with self._lock:
-            terms = self._fwd[1:] + list(self._back.values())
-            lo, hi = self._lo, self.hi
+            terms = self._fwd[1:] + self._back
+            lo, hi = self.lo, self.hi
         return {"lo": lo, "hi": hi,
                 "approx_bytes": sum((abs(t).bit_length() + 7) // 8 for t in terms)}
 
     def __repr__(self) -> str:
-        return f"SequenceTable(n={self.n}, window=[{self._lo}, {self.hi}])"
+        return f"SequenceTable(n={self.n}, window=[{self.lo}, {self.hi}])"
 
 
 _TABLES: dict[int, SequenceTable] = {}

@@ -134,10 +134,7 @@ def count_block(n: int, m: int) -> list[int]:
     require_int("block index", m)
     if m < 1:
         raise ValueError(f"block index must be >= 1, got {m!r}")
-    table = get_table(n)
-    counts = [table.term(m - (n + i - 1)) for i in range(1, n)]
-    counts.append(table.term(m - (n - 1)))
-    return counts
+    return _counts_over(n, [m])
 
 
 def count_prefix(n: int, length: int) -> list[int]:
@@ -151,19 +148,20 @@ def count_prefix(n: int, length: int) -> list[int]:
 
 
 def _counts_over(n: int, indices: list[int]) -> list[int]:
-    """Per-letter counts of the blocks at `indices` together: the closed
-    form of `count_block` summed over them.
+    """Per-letter counts of the blocks at `indices` (ascending) together:
+    the closed form of `count_block` summed over them.
 
     The terms of index c are F(c-n+1) (letter a_n) and F(c-n), ...,
     F(c-2n+2) (letters a_1, ..., a_(n-1)). They are read straight off the
     forward list when c >= 2n - 1 and through `term`, which reaches the
-    backward extension, otherwise.
+    backward extension, otherwise. The table grows only through the
+    largest index read, F(indices[-1]-n+1).
     """
     table = get_table(n)
     counts = [0] * n
     if not indices:
         return counts
-    fwd = table.forward_through(indices[-1])
+    fwd = table.forward_through(indices[-1] - n + 1)
     last = n - 1
     for c in indices:
         if c >= 2 * n - 1:

@@ -14,9 +14,9 @@ from itertools import islice
 
 from nzeck import (any_summand_members, char_at, count_prefix, get_table,
                    smallest_summand_members, stream, term)
-from nzeck.harness import (check_block_counts, check_decomposition_prefix,
-                           check_fixed_summand, check_mutation_sanity,
-                           check_unique_decomposition)
+from nzeck.harness import (ALL_CHECKS, check_block_counts,
+                           check_decomposition_prefix, check_fixed_summand,
+                           check_mutation_sanity, check_unique_decomposition)
 
 
 def report(num, description, ok, detail=""):
@@ -56,7 +56,17 @@ def test_criterion_01_unique_decomposition_and_round_trip():
     ok = result.passed and elapsed < 60.0
     report(1, "uniqueness (exhaustive, N<=2000) and round trip (N<=1e5, n=2..6)",
            ok, f"{result.cases_run} cases in {elapsed:.1f}s; failures={result.failures_total}")
+    assert result.cases_run == 510_000
     assert 0.0 < result.elapsed_s <= elapsed
+
+
+def test_default_sweep_case_counts():
+    # the sweep `nzeck verify` runs by default, one check at a time
+    expected = {"concat-prefixes": 160, "block-counts": 220, "decomposition-prefix": 80_000,
+                "fixed-summand": 354, "mutation-sanity": 3}
+    reports = [ALL_CHECKS[check_id]() for check_id in expected]
+    assert {r.check_id: r.cases_run for r in reports} == expected
+    assert all(r.passed for r in reports)
 
 
 def test_criterion_02_word_fixtures():

@@ -265,6 +265,30 @@ def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, 
     assert f"{name} must be an integer, got 'abc'" in err
 
 
+@pytest.mark.parametrize("name,argv", [
+    ("NZECK_SCAN_LIMIT", ["string", "-n", "3", "--prefix", "3"]),
+    ("NZECK_SCAN_LIMIT", ["counts", "-n", "3", "--prefix", "3", "--scan"]),
+    ("NZECK_LENGTH_CAP", ["block", "-n", "3", "-m", "2"]),
+])
+def test_negative_env_override_is_usage_error_naming_the_variable(capsys, monkeypatch,
+                                                                  name, argv):
+    monkeypatch.setenv(name, "-1")
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert f"{name} must be >= 0, got -1" in err
+
+
+def test_zero_caps_are_accepted(capsys, monkeypatch):
+    code, out, _ = run(capsys, "string", "--prefix", "0", "--scan-limit", "0")
+    assert (code, out) == (0, "\n")
+    code, _, err = run(capsys, "block", "-n", "3", "-m", "2", "--length-cap", "0")
+    assert code == 1
+    assert "BlockTooLarge" in err
+    monkeypatch.setenv("NZECK_SCAN_LIMIT", "0")
+    code, out, _ = run(capsys, "counts", "--prefix", "0", "--scan")
+    assert (code, out) == (0, "a1=0 a2=0 a3=0\n")
+
+
 @pytest.mark.parametrize("flag,argv", [
     ("--prefix", ["string", "-n", "3", "--prefix", "-3"]),
     ("--n-max", ["verify", "--n-max", "-5", "--checks", "decomposition-prefix"]),
@@ -272,6 +296,9 @@ def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, 
     ("--depth", ["verify", "--depth", "-5", "--checks", "concat-prefixes"]),
     ("--max-k-offset", ["verify", "--max-k-offset", "-5", "--checks", "fixed-summand"]),
     ("--staircase-max", ["verify", "--staircase-max", "-5", "--checks", "block-counts"]),
+    ("--length-cap", ["block", "-n", "3", "-m", "2", "--length-cap", "-1"]),
+    ("--scan-limit", ["string", "--prefix", "0", "--scan-limit", "-1"]),
+    ("--scan-limit", ["counts", "--prefix", "5", "--scan", "--scan-limit", "-3"]),
 ])
 def test_negative_count_flag_is_usage_error_naming_the_flag(capsys, flag, argv):
     with pytest.raises(SystemExit) as info:

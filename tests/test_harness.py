@@ -70,6 +70,19 @@ def test_mutation_sanity_check():
     assert report.cases_run >= 1
 
 
+def test_block_counts_records_an_oversized_block_as_failures():
+    # F(3, 9) + 10**8 is above the length cap: blocks from index 9 on are
+    # refused, and each refusal is a failed case, not an aborted check
+    with perturbed_table(3, 9, 10**8):
+        broken = check_block_counts(n_range=(3,), depth=12, staircase_max=3)
+    assert broken.cases_run == 27
+    assert not broken.passed
+    inputs, expected, actual = broken.failures[0]
+    assert inputs == {"n": 3, "m": 9, "sub": "length"}
+    assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
+    assert check_mutation_sanity(n=3, m=9, delta=10**8).passed
+
+
 def test_failures_capped_but_counted():
     with perturbed_table(3, 5):
         broken = check_decomposition_prefix(n_range=(3,), length_max=300)

@@ -1,5 +1,6 @@
 """Sequence table: seeds, recurrence, leftward extension, index search."""
 
+import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -150,6 +151,35 @@ def test_concurrent_forward_past_matches_serial_growth():
     assert all(live is shared._fwd for live in lists)
     assert shared._fwd == reference._fwd
     assert shared.hi == reference.hi
+
+
+def test_concurrent_backward_reads_match_serial_reads():
+    indices = list(range(-400, 1))
+    random.Random(10).shuffle(indices)
+    serial = SequenceTable(3)
+    expected = [serial.term(m) for m in indices]
+    shared = SequenceTable(3)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(shared.term, indices, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == expected
+    assert shared.lo == -400
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_deep_backward_terms_match_a_plain_loop(n):
+    # values[k] = F(n - k): the n seeds, then F(j) = F(j + n) - F(j + n - 1)
+    values = [1] * n
+    while len(values) <= n + 5000:
+        values.append(values[-n] - values[1 - n])
+    fresh = SequenceTable(n)
+    assert fresh.term(-5000) == values[-1]
+    assert fresh.lo == -5000
+    assert [fresh.term(n - k) for k in range(len(values))] == values
 
 
 def test_stats_report_the_window_and_term_bytes():

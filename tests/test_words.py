@@ -246,6 +246,19 @@ def test_count_block_matches_scan(n):
         assert sum(counts) == term(n, m)
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_count_block_grows_only_to_its_largest_read(n, monkeypatch):
+    reference = SequenceTable(n)
+    for m in range(1, 201):
+        fresh = SequenceTable(n)
+        monkeypatch.setitem(sequence._TABLES, n, fresh)
+        counts = count_block(n, m)
+        assert fresh.hi == max(n, m - n + 1), m
+        # entry i-1 is F(m-n-i+1) for i < n, the last entry F(m-n+1)
+        expected = [reference.term(m - n - i + 1) for i in range(1, n)]
+        assert counts == expected + [reference.term(m - n + 1)], m
+
+
 @pytest.mark.parametrize("n,length,expected", [
     (3, 10, [3, 2, 5]),
     (3, 0, [0, 0, 0]),
