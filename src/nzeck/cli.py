@@ -54,67 +54,53 @@ def _positive(text: str) -> int:
     return _count(text, 1)
 
 
-def cmd_term(args) -> int:
+# A handler returns one zero-argument rendering per --format value it accepts,
+# so only the chosen one is built; `main` prints it (a "json" rendering is the
+# payload it passes through json.dumps) and is the only code that writes stdout.
+
+def cmd_term(args) -> dict:
     value = sequence.term(args.order, args.index)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "m": args.index, "value": str(value)}))
-    else:
-        print(value)
-    return 0
+    return {"json": lambda: {"n": args.order, "m": args.index, "value": str(value)},
+            "text": lambda: value}
 
 
-def cmd_decompose(args) -> int:
-    indices = decomposition.decompose(args.order, args.value)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "N": str(args.value), "indices": indices}))
-    elif indices:
-        print(f"{args.value} = " + " + ".join(f"F({args.order},{c})" for c in indices))
-    else:
-        print(f"{args.value} = (empty sum)")
-    return 0
+def cmd_decompose(args) -> dict:
+    n, value = args.order, args.value
+    indices = decomposition.decompose(n, value)
+    return {"json": lambda: {"n": n, "N": str(value), "indices": indices},
+            "text": lambda: f"{value} = " + (
+                " + ".join(f"F({n},{c})" for c in indices) or "(empty sum)")}
 
 
-def cmd_recompose(args) -> int:
+def cmd_recompose(args) -> dict:
     value = decomposition.recompose(args.order, args.indices)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "indices": args.indices, "N": str(value)}))
-    else:
-        print(value)
-    return 0
+    return {"json": lambda: {"n": args.order, "indices": args.indices, "N": str(value)},
+            "text": lambda: value}
 
 
-def cmd_string(args) -> int:
+def cmd_string(args) -> dict:
     limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
     if args.prefix > limit:
         raise ScanLimitExceeded(f"prefix of {args.prefix} letters exceeds the scan limit {limit}")
     letters = list(islice(words.stream(args.order), args.prefix))
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "prefix": letters}))
-    else:
-        print(words.format_letters(letters))
-    return 0
+    return {"json": lambda: {"n": args.order, "prefix": letters},
+            "text": lambda: words.format_letters(letters)}
 
 
-def cmd_block(args) -> int:
+def cmd_block(args) -> dict:
     cap = _cap(args.length_cap, ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
     letters = words.block(args.order, args.index, length_cap=cap)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "m": args.index, "letters": letters}))
-    else:
-        print(words.format_letters(letters))
-    return 0
+    return {"json": lambda: {"n": args.order, "m": args.index, "letters": letters},
+            "text": lambda: words.format_letters(letters)}
 
 
-def cmd_char_at(args) -> int:
+def cmd_char_at(args) -> dict:
     letter = words.char_at(args.order, args.pos)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "pos": str(args.pos), "letter": letter}))
-    else:
-        print(f"a{letter}")
-    return 0
+    return {"json": lambda: {"n": args.order, "pos": str(args.pos), "letter": letter},
+            "text": lambda: f"a{letter}"}
 
 
-def cmd_counts(args) -> int:
+def cmd_counts(args) -> dict:
     if args.block is not None:
         if args.scan:
             raise ValueError("--scan applies to --prefix counts only")
@@ -124,73 +110,58 @@ def cmd_counts(args) -> int:
         counts = words.count_prefix_scan(args.order, args.prefix, scan_limit=limit)
     else:
         counts = words.count_prefix(args.order, args.prefix)
-    if args.format == "json":
-        print(json.dumps({f"a{i + 1}": str(c) for i, c in enumerate(counts)}))
-    else:
-        print(" ".join(f"a{i + 1}={c}" for i, c in enumerate(counts)))
-    return 0
+    return {"json": lambda: {f"a{i + 1}": str(c) for i, c in enumerate(counts)},
+            "text": lambda: " ".join(f"a{i + 1}={c}" for i, c in enumerate(counts))}
 
 
-def cmd_qseq(args) -> int:
+def cmd_qseq(args) -> dict:
     members = fixed_summand.smallest_summand_members(args.order, args.fixed_index, args.count)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "k": args.fixed_index,
-                          "q": [str(q) for q in members]}))
-    elif args.format == "bfile":
-        print("\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)))
-    else:
-        print(" ".join(str(q) for q in members))
-    return 0
+    return {"json": lambda: {"n": args.order, "k": args.fixed_index,
+                             "q": [str(q) for q in members]},
+            "bfile": lambda: "\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)),
+            "text": lambda: " ".join(map(str, members))}
 
 
-def cmd_table1(args) -> int:
+def cmd_table1(args) -> dict:
     lo, hi = fixed_summand.largest_summand_rows(args.order, args.j)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "j": args.j, "row_lo": str(lo), "row_hi": str(hi)}))
-    else:
-        print(f"{lo} {hi}")
-    return 0
+    return {"json": lambda: {"n": args.order, "j": args.j, "row_lo": str(lo), "row_hi": str(hi)},
+            "text": lambda: f"{lo} {hi}"}
 
 
-def cmd_zset(args) -> int:
+def cmd_zset(args) -> dict:
     members = fixed_summand.any_summand_members(args.order, args.fixed_index, args.bound)
-    if args.format == "json":
-        print(json.dumps({"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
-                          "z": [str(z) for z in members]}))
-    else:
-        print(" ".join(str(z) for z in members))
-    return 0
+    return {"json": lambda: {"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
+                             "z": [str(z) for z in members]},
+            "text": lambda: " ".join(map(str, members))}
 
 
-def cmd_verify(args) -> int:
-    selected = _selected_checks(args.checks)
+def cmd_verify(args) -> dict:
+    """Run the selected checks; "code" is the exit code, 0 iff all passed."""
     given = {"n_range": args.orders, "value_max": args.n_max, "length_max": args.n_max,
              "depth": args.depth, "staircase_max": args.staircase_max,
              "bound": args.bound, "max_k_offset": args.max_k_offset}
     reports = []
-    for check_id in selected:
+    for check_id in _selected_checks(args.checks):
         check = harness.ALL_CHECKS[check_id]
         accepted = inspect.signature(check).parameters
         reports.append(check(**{key: val for key, val in given.items()
                                 if val is not None and key in accepted}))
-    if args.format == "json":
-        print(json.dumps([r.to_json_dict() for r in reports]))
-    else:
-        for r in reports:
-            print(r.summary())
-            for inputs, expected, actual in r.failures:
-                print(f"    inputs={inputs} expected={expected} actual={actual}")
-    return 0 if all(r.passed for r in reports) else 1
+    return {"json": lambda: [r.to_json_dict() for r in reports],
+            "text": lambda: "\n".join(r.summary() + "".join(
+                f"\n    inputs={inputs} expected={expected} actual={actual}"
+                for inputs, expected, actual in r.failures) for r in reports),
+            "code": 0 if all(r.passed for r in reports) else 1}
 
 
 def _selected_checks(text: str | None) -> list[str]:
-    if not text:
+    """The ids named in --checks, or all if absent; naming none is a usage error."""
+    if text is None:
         return list(harness.ALL_CHECKS)
     names = [part.strip() for part in text.split(",") if part.strip()]
     unknown = [name for name in names if name not in harness.ALL_CHECKS]
-    if unknown:
-        raise ValueError(f"unknown checks: {', '.join(unknown)} "
-                         f"(known: {', '.join(harness.ALL_CHECKS)})")
+    if unknown or not names:
+        what = f"unknown checks: {', '.join(unknown)}" if unknown else "--checks names no check"
+        raise ValueError(f"{what} (known: {', '.join(harness.ALL_CHECKS)})")
     return names
 
 
@@ -306,7 +277,10 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         args = build_parser().parse_args(argv)
-        return args.handler(args)
+        out = args.handler(args)
+        answer = out[args.format]()
+        print(json.dumps(answer) if args.format == "json" else answer)
+        return out.get("code", 0)
     except NzeckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1

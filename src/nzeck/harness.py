@@ -23,11 +23,13 @@ from typing import Callable, Iterable
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
+from .errors import BlockTooLarge, ScanLimitExceeded
 from .fixed_summand import (any_summand_members, any_summand_scan,
                             largest_summand_rows, smallest_summand_members,
                             smallest_summand_scan, telescoping_identity)
 from .sequence import get_table, perturbed_table
-from .words import _counts_over, block, char_at, count_block, stream
+from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, _counts_over, block, char_at,
+                    count_block, stream)
 
 MAX_RECORDED_FAILURES = 5
 
@@ -177,9 +179,18 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
     report = CheckReport("concat-prefixes", _base_params(n_range, depth=depth))
     for n in n_range:
         table = get_table(n)
-        need = table.term(depth) + table.term(depth - n + 1)
-        prefix = list(islice(stream(n), need))
-        blocks = {m: block(n, m) for m in range(1, depth + 1)}
+        # set-up, blocks first; an exception here is one failed case
+        try:
+            blocks = {m: block(n, m) for m in range(1, depth + 1)}
+            need = table.term(depth) + table.term(depth - n + 1)
+            if need > DEFAULT_LENGTH_CAP:
+                raise BlockTooLarge(f"prefix of {need} letters exceeds the length cap "
+                                    f"{DEFAULT_LENGTH_CAP}")
+            prefix = list(islice(stream(n), need))
+        except Exception as exc:
+            report.cases_run += 1
+            report.fail({"n": n, "sub": "set-up"}, "no exception", f"{type(exc).__name__}: {exc}")
+            continue
         # pair concatenation: B(j) . B(i) starts the word, n <= i <= j-(n-1)
         for j in range(2 * n - 1, depth + 1):
             for i in range(n, j - (n - 1) + 1):
@@ -340,15 +351,26 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
     # row-range classification against per-element largest summands
     if 3 in n_range:
         n, k = 3, 4
-        hi_row = get_table(n).term(9)
-        members = smallest_summand_members(n, k, hi_row)
-        tops = [decompose(n, q)[-1] for q in members]
+        try:
+            hi_row = get_table(n).term(9)
+            if hi_row > DEFAULT_SCAN_LIMIT:
+                raise ScanLimitExceeded(f"{hi_row} rows exceed the scan limit {DEFAULT_SCAN_LIMIT}")
+            tops = [decompose(n, q)[-1] for q in smallest_summand_members(n, k, hi_row)]
+        except Exception as exc:
+            tops = exc
         for j in range(3, 9):
-            lo, hi = largest_summand_rows(n, j)
-            classified = [r for r in range(1, hi_row + 1) if tops[r - 1] == k + j]
-            report.case({"n": n, "k": k, "j": j, "sub": "rows"},
-                        list(range(lo, hi + 1)), classified)
+            report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
+                           lambda j=j: _rows_pair(n, k, j, tops))
     return report
+
+
+def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[list, list]:
+    """Row range j, and the rows whose member's largest index is k + j, by
+    `tops`, each member's largest index (or the set-up's exception, raised)."""
+    if isinstance(tops, Exception):
+        raise tops
+    lo, hi = largest_summand_rows(n, j)
+    return list(range(lo, hi + 1)), [r for r, top in enumerate(tops, 1) if top == k + j]
 
 
 def _q_pair(n: int, k: int, bound: int) -> tuple[list[int], list[int]]:

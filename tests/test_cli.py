@@ -1,5 +1,6 @@
 """CLI surface: output formats, exit codes, environment overrides."""
 
+import argparse
 import json
 import os
 import random
@@ -11,8 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (decompose, largest_summand_rows, perturbed_table, recompose,
-                   smallest_summand_members, stream, term)
+from nzeck import (decompose, harness, largest_summand_rows, perturbed_table,
+                   recompose, smallest_summand_members, stream, term)
 from nzeck.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -230,6 +231,16 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
+@pytest.mark.parametrize("checks", [",", " , ", ""])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_checks_naming_no_check_is_usage_error(capsys, checks, fmt):
+    code, out, err = run(capsys, "verify", "--checks", checks, "--format", fmt)
+    assert (code, out) == (2, "")
+    assert err == ("error: --checks names no check (known: unique-decomposition, "
+                   "concat-prefixes, block-counts, decomposition-prefix, fixed-summand, "
+                   "mutation-sanity)\n")
+
+
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as info:
         main(["bogus"])
@@ -445,3 +456,93 @@ def test_help_matches_a_freshly_built_parser(capsys):
     for command in ("term", "decompose", "recompose", "string", "block", "char-at",
                     "counts", "qseq", "table1", "zset", "verify"):
         assert command in fresh
+
+
+# Exact stdout, stderr and exit code of every subcommand in every --format
+# it accepts. Check wall times are pinned to 0.00 s so verify's bytes are fixed.
+EXACT = [
+    (["term", "-n", "3", "-m", "7"], 0, "6\n", ""),
+    (["term", "-n", "3", "-m", "-2", "--format", "json"], 0,
+     '{"n": 3, "m": -2, "value": "1"}\n', ""),
+    (["decompose", "-n", "3", "10"], 0, "10 = F(3,3) + F(3,8)\n", ""),
+    (["decompose", "-n", "3", "0"], 0, "0 = (empty sum)\n", ""),
+    (["decompose", "-n", "3", "10", "--format", "json"], 0,
+     '{"n": 3, "N": "10", "indices": [3, 8]}\n', ""),
+    (["recompose", "-n", "3", "3", "8"], 0, "10\n", ""),
+    (["recompose", "-n", "3", "3", "8", "--format", "json"], 0,
+     '{"n": 3, "indices": [3, 8], "N": "10"}\n', ""),
+    (["string", "-n", "3", "--prefix", "14"], 0,
+     "a3 a1 a2 a3 a3 a1 a3 a1 a2 a3 a1 a2 a3 a3\n", ""),
+    (["string", "-n", "2", "--prefix", "13", "--format", "json"], 0,
+     '{"n": 2, "prefix": [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]}\n', ""),
+    (["block", "-n", "3", "-m", "8"], 0, "a3 a1 a2 a3 a3 a1 a3 a1 a2\n", ""),
+    (["block", "-n", "3", "-m", "8", "--format", "json"], 0,
+     '{"n": 3, "m": 8, "letters": [3, 1, 2, 3, 3, 1, 3, 1, 2]}\n', ""),
+    (["char-at", "-n", "3", "5"], 0, "a3\n", ""),
+    (["char-at", "-n", "4", "5", "--format", "json"], 0,
+     '{"n": 4, "pos": "5", "letter": 4}\n', ""),
+    (["counts", "-n", "3", "--prefix", "10"], 0, "a1=3 a2=2 a3=5\n", ""),
+    (["counts", "-n", "3", "--prefix", "10", "--format", "json"], 0,
+     '{"a1": "3", "a2": "2", "a3": "5"}\n', ""),
+    (["counts", "-n", "3", "--block", "8"], 0, "a1=3 a2=2 a3=4\n", ""),
+    (["qseq", "-n", "3", "-k", "4", "--count", "4"], 0, "2 8 11 15\n", ""),
+    (["qseq", "-n", "3", "-k", "4", "--count", "4", "--format", "json"], 0,
+     '{"n": 3, "k": 4, "q": ["2", "8", "11", "15"]}\n', ""),
+    (["qseq", "-n", "3", "-k", "4", "--count", "4", "--format", "bfile"], 0,
+     "1 2\n2 8\n3 11\n4 15\n", ""),
+    (["table1", "-n", "3", "-j", "6"], 0, "5 6\n", ""),
+    (["table1", "-n", "3", "-j", "6", "--format", "json"], 0,
+     '{"n": 3, "j": 6, "row_lo": "5", "row_hi": "6"}\n', ""),
+    (["zset", "-n", "3", "-k", "6", "--bound", "30"], 0, "4 5 17 18 23 24\n", ""),
+    (["zset", "-n", "3", "-k", "6", "--bound", "30", "--format", "json"], 0,
+     '{"n": 3, "k": 6, "bound": "30", "z": ["4", "5", "17", "18", "23", "24"]}\n', ""),
+    (["verify", "--checks", "concat-prefixes,block-counts", "--orders", "3",
+      "--depth", "8", "--staircase-max", "2"], 0,
+     "[PASS] concat-prefixes: 31 cases in 0.00 s\n[PASS] block-counts: 18 cases in 0.00 s\n",
+     ""),
+    (["verify", "--checks", "block-counts", "--orders", "3", "--depth", "8",
+      "--staircase-max", "2", "--format", "json"], 0,
+     '[{"check_id": "block-counts", "parameters": {"n_range": [3], "depth": 8, '
+     '"staircase_max": 2}, "pass": true, "cases_run": 18, "failures": [], '
+     '"failures_total": 0, "elapsed_s": 0.0}]\n', ""),
+    (["decompose", "-n", "1", "5"], 2, "", "error: order n must be an integer >= 2, got 1\n"),
+    (["block", "-n", "3", "-m", "60", "--length-cap", "100", "--format", "json"], 1, "",
+     "error: BlockTooLarge: block 60 has at least 2**19 letters, above the 7-bit length cap\n"),
+]
+
+
+@pytest.fixture
+def zero_check_times(monkeypatch):
+    monkeypatch.setattr(harness, "perf_counter", lambda: 0.0)
+
+
+@pytest.mark.parametrize("argv,code,out,err", EXACT, ids=[" ".join(c[0]) for c in EXACT])
+def test_exact_output(capsys, zero_check_times, argv, code, out, err):
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("fmt,out", [
+    ("text", "[FAIL] block-counts: 21 cases in 0.00 s, 2 failures\n"
+             "    inputs={'n': 3, 'm': 9, 'sub': 'length'} expected=14 actual=13\n"
+             "    inputs={'n': 3, 'm': 10, 'sub': 'length'} expected=20 actual=19\n"),
+    ("json", '[{"check_id": "block-counts", "parameters": {"n_range": [3], "depth": 10, '
+             '"staircase_max": 1}, "pass": false, "cases_run": 21, "failures": '
+             '[{"inputs": {"n": 3, "m": 9, "sub": "length"}, "expected": 14, "actual": 13}, '
+             '{"inputs": {"n": 3, "m": 10, "sub": "length"}, "expected": 20, "actual": 19}], '
+             '"failures_total": 2, "elapsed_s": 0.0}]\n'),
+])
+def test_exact_output_of_a_failing_verify(capsys, zero_check_times, fmt, out):
+    with perturbed_table(3, 9):
+        got = run(capsys, "verify", "--checks", "block-counts", "--orders", "3",
+                  "--depth", "10", "--staircase-max", "1", "--format", fmt)
+    assert got == (1, out, "")
+
+
+def test_exact_output_covers_every_subcommand_and_format():
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    pairs = {(name, fmt) for name, p in sub.choices.items()
+             for a in p._actions if a.dest == "format" for fmt in a.choices}
+    covered = {(argv[0], argv[argv.index("--format") + 1] if "--format" in argv else "text")
+               for argv, code, _, _ in EXACT if code == 0}
+    assert len(pairs) == 23
+    assert pairs <= covered

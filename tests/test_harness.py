@@ -164,3 +164,73 @@ def test_reports_carry_elapsed_time():
     assert f"in {report.elapsed_s:.2f} s" in report.summary()
     # timing is not part of a report's identity
     assert report == check_concat_prefixes(n_range=(3,), depth=10)
+
+
+# Each sweeping check, at a small sweep, under a corruption inside that sweep:
+# the check returns a failing report instead of raising.
+CORRUPTIONS = [
+    (check_unique_decomposition, dict(n_range=(3,), value_max=200), (3, 9)),
+    (check_concat_prefixes, dict(n_range=(3,), depth=12), (3, 9)),
+    (check_concat_prefixes, dict(n_range=(3,), depth=12), (3, 9, 10**8)),
+    (check_block_counts, dict(n_range=(3,), depth=12, staircase_max=3), (3, 9)),
+    (check_block_counts, dict(n_range=(3,), depth=12, staircase_max=3), (3, 9, 10**8)),
+    (check_decomposition_prefix, dict(n_range=(3,), length_max=200), (3, 9)),
+    (check_fixed_summand, dict(n_range=(3,), max_k_offset=1, bound=2000), (3, 9)),
+    (check_fixed_summand, dict(n_range=(3,), max_k_offset=1, bound=2000), (3, 9, -1)),
+    (check_fixed_summand, dict(n_range=(3,), max_k_offset=1, bound=2000), (3, 9, 10**8)),
+]
+
+
+@pytest.mark.parametrize("check,sweep,corruption", CORRUPTIONS,
+                         ids=[f"{c.__name__}-{p}" for c, _, p in CORRUPTIONS])
+def test_check_fails_under_corruption_without_raising(check, sweep, corruption):
+    assert check(**sweep).passed
+    with perturbed_table(*corruption):
+        report = check(**sweep)
+    assert report.cases_run > 0
+    assert not report.passed
+    assert check(**sweep).passed
+
+
+def test_concat_prefixes_records_a_failed_set_up_as_one_case():
+    with perturbed_table(3, 9, 10**8):
+        report = check_concat_prefixes(n_range=(3, 4), depth=12)
+    healthy = check_concat_prefixes(n_range=(4,), depth=12)
+    assert (report.cases_run, report.failures_total) == (1 + healthy.cases_run, 1)
+    inputs, expected, actual = report.failures[0]
+    assert (inputs, expected) == ({"n": 3, "sub": "set-up"}, "no exception")
+    assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
+
+
+def test_concat_prefixes_refuses_a_prefix_above_the_length_cap(monkeypatch):
+    # n = 3, depth 12: the prefix needs F(12) + F(10) = 41 + 19 = 60 letters
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 60)
+    assert check_concat_prefixes(n_range=(3,), depth=12).passed
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 59)
+    report = check_concat_prefixes(n_range=(3,), depth=12)
+    assert (report.cases_run, report.failures_total) == (1, 1)
+    assert report.failures[0][2] == "BlockTooLarge: prefix of 60 letters exceeds the length cap 59"
+
+
+def test_fixed_summand_fails_each_rows_case_when_set_up_raises(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
+    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
+    with perturbed_table(3, 9):
+        report = check_fixed_summand(**sweep)
+    assert report.cases_run == check_fixed_summand(**sweep).cases_run
+    rows = [(inputs["j"], actual) for inputs, _, actual in report.failures
+            if inputs.get("sub") == "rows"]
+    assert rows == [(j, "IndexNotFound: no index >= 3 below 3 fits the remainder 1")
+                    for j in range(3, 9)]
+
+
+def test_fixed_summand_refuses_rows_above_the_scan_limit(monkeypatch):
+    # the rows run to F(3, 9) = 13, one streamed letter per member
+    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
+    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
+    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 13)
+    assert check_fixed_summand(**sweep).passed
+    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 12)
+    report = check_fixed_summand(**sweep)
+    assert [(inputs["j"], actual) for inputs, _, actual in report.failures] == [
+        (j, "ScanLimitExceeded: 13 rows exceed the scan limit 12") for j in range(3, 9)]
