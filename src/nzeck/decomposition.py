@@ -22,7 +22,6 @@ summand's index is `indices[-1]`; the empty list represents 0.
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import pairwise
 from typing import Iterator
 
 from .errors import IndexNotFound, InvalidDecomposition
@@ -39,7 +38,8 @@ def decompose(n: int, value: int) -> list[int]:
     wrong answer or IndexNotFound, never a hang.
     """
     table = get_table(n)
-    require_int("value", value)
+    if type(value) is not int:
+        require_int("value", value)
     if value < 0:
         raise ValueError(f"value must be >= 0, got {value!r}")
     fwd = table.forward_past(value)
@@ -84,37 +84,37 @@ def successive_decompositions(n: int) -> Iterator[list[int]]:
 
 
 def recompose(n: int, indices: list[int]) -> int:
-    """Sum of the terms at `indices`, after validating the invariants.
+    """Sum of the terms at `indices`, after `validate` has checked them.
 
-    Valid indices ascend from n up, so one growth through the last index
-    makes every term a plain read of the forward list. The last index is
-    type-checked before that growth, so a float such as 1e9 cannot drive
-    it; any other non-int index (bool included) fails on the read, as a
-    TypeError or as an invalid decomposition, and is then reported as
-    ValueError.
+    Valid indices are ints ascending from n up, so one growth through the
+    last index makes every term a plain read of the forward list, and a
+    float such as 1e9 never drives that growth.
     """
     table = get_table(n)
-    try:
-        validate(n, indices)
-        if not indices:
-            return 0
-        require_int("index", indices[-1])
-        return sum(map(table.forward_through(indices[-1]).__getitem__, indices))
-    except (TypeError, InvalidDecomposition):
-        for c in indices:
-            require_int("index", c)
-        raise
+    validate(n, indices)
+    if not indices:
+        return 0
+    return sum(map(table.forward_through(indices[-1]).__getitem__, indices))
 
 
 def validate(n: int, indices: list[int]) -> None:
-    """Raise InvalidDecomposition unless c_1 >= n and gaps are >= n."""
-    if not indices:
-        return
-    if indices[0] < n:
-        raise InvalidDecomposition(f"first index {indices[0]} is below the order {n}")
-    for prev, cur in pairwise(indices):
-        if cur - prev < n:
+    """Raise InvalidDecomposition unless c_1 >= n and gaps are >= n, and
+    ValueError at the first index that is not an int (bool included).
+
+    One pass, one comparison per index: each index must reach lo, which is
+    n for the first and the previous index plus n after it.
+    """
+    lo = n
+    for cur in indices:
+        if type(cur) is not int:
+            require_int("index", cur)
+        if cur < lo:
+            # lo == n alone marks the first index for any order n >= 1
+            if lo == n and cur == indices[0]:
+                raise InvalidDecomposition(f"first index {cur} is below the order {n}")
+            prev = lo - n
             raise InvalidDecomposition(f"gap {cur - prev} between indices {prev} and {cur} is below {n}")
+        lo = cur + n
 
 
 def brute_force_decompositions(n: int, value: int, max_index: int) -> list[list[int]]:

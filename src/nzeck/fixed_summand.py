@@ -17,9 +17,9 @@ infinite word the generators are driven by.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, islice, repeat, takewhile
+from itertools import accumulate, chain, compress, islice, repeat, takewhile
 from operator import add, ge
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .decomposition import successive_decompositions
 from .errors import NzeckError, ScanLimitExceeded
@@ -113,6 +113,26 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     return out
 
 
+def _any_summand_flags(n: int, ks: Iterable[int], bound: int,
+                       scan_limit: int) -> dict[int, bytearray]:
+    """The any-summand scan for every k in `ks` from one add-one walk over
+    1..bound: flags[k][value] is 1 iff the decomposition of value contains
+    index k. A bound below 1 is an empty scan."""
+    for k in ks:
+        _require_fixed_index(n, k)
+    require_int("bound", bound)
+    if bound > scan_limit:
+        raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
+    flags = {k: bytearray(max(bound, 0) + 1) for k in ks}
+    get = flags.get
+    for value, rep in zip(range(1, bound + 1), successive_decompositions(n)):
+        for c in rep:
+            row = get(c)
+            if row is not None:
+                row[value] = 1
+    return flags
+
+
 def any_summand_scan(n: int, k: int, bound: int,
                      scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
     """Oracle: scan 1..bound keeping integers whose decomposition contains
@@ -120,12 +140,8 @@ def any_summand_scan(n: int, k: int, bound: int,
 
     The decompositions come from the add-one walk
     (`successive_decompositions`), not from the letters of the word."""
-    _require_fixed_index(n, k)
-    require_int("bound", bound)
-    if bound > scan_limit:
-        raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
-    return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
-            if k in rep]
+    flags = _any_summand_flags(n, (k,), bound, scan_limit)
+    return list(compress(range(bound + 1), flags[k]))
 
 
 def telescoping_identity(n: int, m: int, v: int, u: int) -> bool:

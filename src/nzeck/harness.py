@@ -17,16 +17,17 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import wraps
-from itertools import islice
+from itertools import compress, islice
 from time import perf_counter
 from typing import Callable, Iterable
 
+from . import fixed_summand
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
 from .errors import BlockTooLarge, ScanLimitExceeded
-from .fixed_summand import (any_summand_members, any_summand_scan,
-                            largest_summand_rows, smallest_summand_members,
-                            smallest_summand_scan, telescoping_identity)
+from .fixed_summand import (_any_summand_flags, any_summand_members, largest_summand_rows,
+                            smallest_summand_members, smallest_summand_scan,
+                            telescoping_identity)
 from .sequence import get_table, perturbed_table
 from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, _counts_over, block, char_at,
                     count_block, stream)
@@ -343,11 +344,18 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         for k in range(n, n + min(max_k_offset, 4) + 1):
             report.guarded({"n": n, "k": k, "bound": q_bound, "sub": "smallest-summand"},
                            lambda n=n, k=k: _q_pair(n, k, q_bound))
-        # generator vs oracle, any-summand family
-        for k in range(n, n + max_k_offset + 1):
+        # generator vs oracle, any-summand family: one add-one walk scans
+        # for every k, and an exception there fails each k's case. The limit
+        # is the scan's own default, read when the check runs.
+        ks = range(n, n + max_k_offset + 1)
+        try:
+            flags = _any_summand_flags(n, ks, bound, fixed_summand.DEFAULT_SCAN_LIMIT)
+        except Exception as exc:
+            flags = exc
+        for k in ks:
             report.guarded({"n": n, "k": k, "bound": bound, "sub": "any-summand"},
-                           lambda n=n, k=k: (any_summand_scan(n, k, bound),
-                                             any_summand_members(n, k, bound)))
+                           lambda n=n, k=k: _any_pair(n, k, bound, flags))
+        del flags  # hold one order's flags at a time
     # row-range classification against per-element largest summands
     if 3 in n_range:
         n, k = 3, 4
@@ -371,6 +379,15 @@ def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[lis
         raise tops
     lo, hi = largest_summand_rows(n, j)
     return list(range(lo, hi + 1)), [r for r, top in enumerate(tops, 1) if top == k + j]
+
+
+def _any_pair(n: int, k: int, bound: int,
+              flags: dict[int, bytearray] | Exception) -> tuple[list[int], list[int]]:
+    """The scanned members for k, by `flags` (or the walk's exception,
+    raised before any member is generated), and the generated members."""
+    if isinstance(flags, Exception):
+        raise flags
+    return list(compress(range(bound + 1), flags[k])), any_summand_members(n, k, bound)
 
 
 def _q_pair(n: int, k: int, bound: int) -> tuple[list[int], list[int]]:

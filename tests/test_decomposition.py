@@ -80,6 +80,22 @@ def test_validate_messages():
     validate(3, [])
 
 
+def test_validate_reports_a_descending_pair_as_a_negative_gap():
+    with pytest.raises(InvalidDecomposition, match="^gap -5 between indices 10 and 5 is below 3$"):
+        validate(3, [10, 5])
+
+
+# [3, 7, 11] with one index replaced: integral float, bool, digit string
+@pytest.mark.parametrize("func", [validate, recompose])
+@pytest.mark.parametrize("position", [0, 1, 2])
+@pytest.mark.parametrize("make_bad", [float, lambda c: True, str], ids=["float", "bool", "str"])
+def test_validate_and_recompose_reject_a_non_integer_index(func, position, make_bad):
+    indices = [3, 7, 11]
+    bad = indices[position] = make_bad(indices[position])
+    with pytest.raises(ValueError, match=f"^index must be an integer, got {bad!r}$"):
+        func(3, indices)
+
+
 @pytest.mark.parametrize("n,value,max_index,expected", [
     (3, 10, 12, [[3, 8]]),
     (3, 7, 12, [[3, 7]]),

@@ -1,6 +1,6 @@
 """Fixed-summand families: letter-driven generators vs scan oracles."""
 
-from itertools import islice
+from itertools import compress, islice
 
 import pytest
 
@@ -9,6 +9,8 @@ from nzeck import (NzeckError, ScanLimitExceeded, any_summand_members,
                    largest_summand_rows,
                    smallest_summand_members, smallest_summand_scan,
                    smallest_summand_stream, stream, telescoping_identity, term)
+from nzeck.decomposition import successive_decompositions
+from nzeck.fixed_summand import _any_summand_flags
 
 
 @pytest.mark.parametrize("n,k,count,expected", [
@@ -173,6 +175,33 @@ def test_any_summand_members_rejects_overlapping_runs(monkeypatch):
     with pytest.raises(NzeckError, match="overlapping runs") as info:
         any_summand_members(3, 4, 50)
     assert "base 8 is not above the previous run's end 101" in str(info.value)
+
+
+def test_any_summand_scan_domain():
+    # a bound below 1 scans nothing, including the bounds that a
+    # bytearray(bound + 1) would refuse
+    for bound in (0, -1, -2, -5):
+        assert any_summand_scan(3, 3, bound) == [], bound
+    assert any_summand_scan(3, 3, 10, 10) == [1, 5, 7, 10]
+    with pytest.raises(ScanLimitExceeded, match="^scan to 10 exceeds the limit 5$"):
+        any_summand_scan(3, 3, 10, 5)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_one_walk_flags_every_k_as_the_per_k_scans_do(n):
+    ks = range(n, n + 7)
+    bound = 20_000
+    flags = _any_summand_flags(n, ks, bound, bound)
+    assert list(flags) == list(ks)
+    # reference: a membership test per k on one walk
+    expected = {k: [] for k in ks}
+    for value, rep in zip(range(1, bound + 1), successive_decompositions(n)):
+        for k in ks:
+            if k in rep:
+                expected[k].append(value)
+    for k in ks:
+        scanned = any_summand_scan(n, k, bound)
+        assert scanned == expected[k] == list(compress(range(bound + 1), flags[k])), k
 
 
 def test_any_summand_rejects_bad_bound():

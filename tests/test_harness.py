@@ -1,10 +1,12 @@
 """Harness checks: pass on healthy tables, fail on corrupted ones."""
 
 import json
+from collections import Counter
 
 import pytest
 
-from nzeck import IndexNotFound, block, decompose, harness, perturbed_table, term
+from nzeck import (IndexNotFound, block, decompose, fixed_summand, harness, perturbed_table,
+                   term)
 from nzeck.harness import (CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -234,3 +236,41 @@ def test_fixed_summand_refuses_rows_above_the_scan_limit(monkeypatch):
     report = check_fixed_summand(**sweep)
     assert [(inputs["j"], actual) for inputs, _, actual in report.failures] == [
         (j, "ScanLimitExceeded: 13 rows exceed the scan limit 12") for j in range(3, 9)]
+
+
+def test_fixed_summand_fails_each_any_summand_case_when_the_walk_is_over_the_limit(monkeypatch):
+    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
+    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
+    healthy = check_fixed_summand(**sweep)
+    members_calls = []
+    monkeypatch.setattr(harness, "any_summand_members",
+                        lambda *args: members_calls.append(args))
+    monkeypatch.setattr(fixed_summand, "DEFAULT_SCAN_LIMIT", 1999)
+    report = check_fixed_summand(**sweep)
+    assert report.cases_run == healthy.cases_run
+    assert [(inputs["sub"], inputs["k"], actual) for inputs, _, actual in report.failures] == [
+        ("any-summand", k, "ScanLimitExceeded: scan to 2000 exceeds the limit 1999")
+        for k in (3, 4)]
+    assert members_calls == []
+
+
+def test_any_summand_scan_reads_no_table():
+    healthy = [fixed_summand.any_summand_scan(3, k, 2000) for k in range(3, 10)]
+    with perturbed_table(3, 9, 10**8):
+        assert [fixed_summand.any_summand_scan(3, k, 2000) for k in range(3, 10)] == healthy
+
+
+def test_fixed_summand_walks_once_per_order_for_every_any_summand_case(monkeypatch):
+    walks = []
+    real_walk = fixed_summand.successive_decompositions
+
+    def counted_walk(n):
+        walks.append(n)
+        return real_walk(n)
+
+    monkeypatch.setattr(fixed_summand, "successive_decompositions", counted_walk)
+    report = check_fixed_summand(n_range=(3, 4), max_k_offset=6, bound=3000)
+    assert report.passed
+    # per order: five smallest-summand scans (k = n..n+4) and one
+    # any-summand walk shared by its seven cases
+    assert Counter(walks) == {3: 5 + 1, 4: 5 + 1}
