@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import os
 import sys
@@ -140,12 +139,7 @@ def cmd_verify(args) -> dict:
     given = {"n_range": args.orders, "value_max": args.n_max, "length_max": args.n_max,
              "depth": args.depth, "staircase_max": args.staircase_max,
              "bound": args.bound, "max_k_offset": args.max_k_offset}
-    reports = []
-    for check_id in _selected_checks(args.checks):
-        check = harness.ALL_CHECKS[check_id]
-        accepted = inspect.signature(check).parameters
-        reports.append(check(**{key: val for key, val in given.items()
-                                if val is not None and key in accepted}))
+    reports = harness.run_checks(_selected_checks(args.checks), given)
     return {"json": lambda: [r.to_json_dict() for r in reports],
             "text": lambda: "\n".join(r.summary() + "".join(
                 f"\n    inputs={inputs} expected={expected} actual={actual}"

@@ -99,11 +99,14 @@ def recompose(n: int, indices: list[int]) -> int:
 
 def validate(n: int, indices: list[int]) -> None:
     """Raise InvalidDecomposition unless c_1 >= n and gaps are >= n, and
-    ValueError at the first index that is not an int (bool included).
+    ValueError for an order that is not an int >= 2 or at the first index
+    that is not an int (bool included).
 
     One pass, one comparison per index: each index must reach lo, which is
     n for the first and the previous index plus n after it.
     """
+    if type(n) is not int or n < 2:
+        require_order(n)
     lo = n
     for cur in indices:
         if type(cur) is not int:

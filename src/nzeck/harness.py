@@ -14,6 +14,9 @@ only guaranteed for n >= 3.
 
 from __future__ import annotations
 
+import inspect
+import os
+import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
 from functools import wraps
@@ -41,7 +44,8 @@ class CheckReport:
     no failure, so an empty sweep is never green.
 
     `elapsed_s` is the check's wall time, measured once around the whole
-    sweep; it is left out of equality so reruns of a check compare equal.
+    sweep (`run_checks` sums it over the orders it runs apart); it is left
+    out of equality so reruns of a check compare equal.
     """
 
     check_id: str
@@ -356,19 +360,21 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
             report.guarded({"n": n, "k": k, "bound": bound, "sub": "any-summand"},
                            lambda n=n, k=k: _any_pair(n, k, bound, flags))
         del flags  # hold one order's flags at a time
-    # row-range classification against per-element largest summands
-    if 3 in n_range:
-        n, k = 3, 4
-        try:
-            hi_row = get_table(n).term(9)
-            if hi_row > DEFAULT_SCAN_LIMIT:
-                raise ScanLimitExceeded(f"{hi_row} rows exceed the scan limit {DEFAULT_SCAN_LIMIT}")
-            tops = [decompose(n, q)[-1] for q in smallest_summand_members(n, k, hi_row)]
-        except Exception as exc:
-            tops = exc
-        for j in range(3, 9):
-            report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
-                           lambda j=j: _rows_pair(n, k, j, tops))
+        # row-range classification against per-element largest summands, in
+        # order 3's own cases, so a sweep's report is its orders' in turn
+        if n == 3:
+            k = 4
+            try:
+                hi_row = table.term(9)
+                if hi_row > DEFAULT_SCAN_LIMIT:
+                    raise ScanLimitExceeded(f"{hi_row} rows exceed the scan limit "
+                                            f"{DEFAULT_SCAN_LIMIT}")
+                tops = [decompose(n, q)[-1] for q in smallest_summand_members(n, k, hi_row)]
+            except Exception as exc:
+                tops = exc
+            for j in range(3, 9):
+                report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
+                               lambda j=j: _rows_pair(n, k, j, tops))
     return report
 
 
@@ -426,3 +432,76 @@ ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {
     "fixed-summand": check_fixed_summand,
     "mutation-sanity": check_mutation_sanity,
 }
+
+
+def run_checks(check_ids: Iterable[str], options: dict) -> list[CheckReport]:
+    """Run the checks named by `check_ids`, in order, each given the
+    `options` its signature accepts (None values are left out), and return
+    their reports.
+
+    A check that sweeps `n_range` runs as one task per order, and each
+    check's per-order reports are merged into the report one call over the
+    whole range gives, except that `elapsed_s` is the sum of the orders'
+    times. The tasks run across forked worker processes, one per usable
+    CPU, scoped to this call: no worker outlives it. They run in this
+    process instead when there is one CPU or task, when the platform has
+    no `fork`, or when another thread is alive, since a fork while that
+    thread holds a table lock could hang a worker.
+    """
+    plan: list[tuple[list[int] | None, int]] = []  # per check: n_range, task count
+    tasks: list[tuple[str, dict]] = []
+    for check_id in check_ids:
+        accepted = inspect.signature(ALL_CHECKS[check_id]).parameters
+        kwargs = {key: val for key, val in options.items()
+                  if val is not None and key in accepted}
+        n_range = None
+        if "n_range" in accepted:
+            n_range = list(kwargs.get("n_range", accepted["n_range"].default))
+        parts = [(check_id, {**kwargs, "n_range": (n,)}) for n in n_range or ()]
+        parts = parts or [(check_id, kwargs)]
+        plan.append((n_range, len(parts)))
+        tasks += parts
+    reports = iter(_run_tasks(tasks))
+    return [_merged(list(islice(reports, count)), n_range) for n_range, count in plan]
+
+
+def _run_task(task: tuple[str, dict]) -> CheckReport:
+    check_id, kwargs = task
+    return ALL_CHECKS[check_id](**kwargs)
+
+
+def _run_tasks(tasks: list[tuple[str, dict]]) -> list[CheckReport]:
+    """The reports of `tasks`, in order, from a `fork` pool that is shut
+    down, its workers joined, before this returns; or, where `run_checks`
+    says, from this process. The pool's modules are imported here only, so
+    importing nzeck never loads them."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    workers = min(len(tasks), cpus or 1)
+    if workers > 1 and threading.active_count() == 1:
+        import multiprocessing
+        if "fork" in multiprocessing.get_all_start_methods():
+            from concurrent.futures import ProcessPoolExecutor
+            with ProcessPoolExecutor(workers,
+                                     mp_context=multiprocessing.get_context("fork")) as pool:
+                return list(pool.map(_run_task, tasks))
+    return list(map(_run_task, tasks))
+
+
+def _merged(parts: list[CheckReport], n_range: list[int] | None) -> CheckReport:
+    """One check's report from its per-order `parts`, in order: counts and
+    times summed, failures concatenated up to MAX_RECORDED_FAILURES, and
+    the parameters of one call over `n_range` (None: the one part's own)."""
+    first = parts[0]
+    params = first.parameters
+    if n_range is not None:
+        rest = {key: val for key, val in params.items()
+                if key not in ("n_range", "empirical_orders")}
+        params = _base_params(n_range, **rest)
+    report = CheckReport(first.check_id, params)
+    for part in parts:
+        report.cases_run += part.cases_run
+        report.failures_total += part.failures_total
+        report.failures += part.failures
+        report.elapsed_s += part.elapsed_s
+    del report.failures[MAX_RECORDED_FAILURES:]
+    return report

@@ -2,18 +2,20 @@
 
 import argparse
 import json
+import multiprocessing
 import os
 import random
 import re
 import subprocess
 import sys
+import threading
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from nzeck import (decompose, harness, largest_summand_rows, perturbed_table,
-                   recompose, smallest_summand_members, stream, term)
+from nzeck import (InvalidDecomposition, decompose, harness, largest_summand_rows,
+                   perturbed_table, recompose, smallest_summand_members, stream, term)
 from nzeck.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -223,6 +225,33 @@ def test_verify_fails_under_corruption(capsys):
                            "--orders", "3", "--depth", "12", "--staircase-max", "2")
     assert code == 1
     assert "[FAIL]" in out
+
+
+def test_verify_leaves_no_process_or_thread_behind(capsys, monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    assert main(["verify", "--n-max", "300", "--bound", "3000"]) == 0
+    assert capsys.readouterr().out.count("[PASS]") == 6
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert multiprocessing.active_children() == []
+    assert threading.enumerate() == [threading.current_thread()]
+
+
+# an exception a check does not guard ends verify as it does in a serial run
+def test_verify_bad_order_is_a_usage_error(capsys, cpus):
+    assert run(capsys, "verify", "--orders", "1,3") == (
+        2, "", "error: order n must be an integer >= 2, got 1\n")
+
+
+def test_verify_domain_error_from_a_check_exits_1(capsys, cpus, monkeypatch):
+    def broken(n_range=(3, 4), depth=25, staircase_max=5):
+        for n in n_range:
+            if n > 3:  # the first order that raises is the one reported
+                raise InvalidDecomposition(f"order {n}")
+        return harness.check_block_counts(n_range, depth, staircase_max)
+    monkeypatch.setitem(harness.ALL_CHECKS, "block-counts", broken)
+    assert run(capsys, "verify", "--checks", "concat-prefixes,block-counts", "--orders", "3,4,5",
+               "--depth", "8") == (1, "", "error: InvalidDecomposition: order 4\n")
 
 
 def test_verify_unknown_check(capsys):
@@ -435,15 +464,17 @@ def test_parser_is_built_on_the_first_call_not_at_import():
     # every benchmark set-up times this import, so the parser must stay lazy
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    script = ("import nzeck.cli as cli\n"
+    script = ("import sys\n"
+              "import nzeck.cli as cli\n"
               "print(cli.build_parser.cache_info().currsize)\n"
+              "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])\n"
               "cli.main(['term', '-m', '7'])\n"
               "cli.main(['decompose', '10'])\n"
               "info = cli.build_parser.cache_info()\n"
               "print(info.misses, info.hits)\n")
     result = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                             text=True, check=True)
-    assert result.stdout.splitlines() == ["0", "6", "10 = F(3,3) + F(3,8)", "1 1"]
+    assert result.stdout.splitlines() == ["0", "[]", "6", "10 = F(3,3) + F(3,8)", "1 1"]
 
 
 def test_help_matches_a_freshly_built_parser(capsys):

@@ -80,6 +80,14 @@ def test_validate_messages():
     validate(3, [])
 
 
+# the order is checked as recompose checks it, with or without indices
+@pytest.mark.parametrize("n,indices", [(1, [1, 2]), (3.5, [4]), (True, [1, 2]), (0, []),
+                                       (-3, [5]), ("3", [3])])
+def test_validate_rejects_a_bad_order(n, indices):
+    with pytest.raises(ValueError, match=f"^order n must be an integer >= 2, got {n!r}$"):
+        validate(n, indices)
+
+
 def test_validate_reports_a_descending_pair_as_a_negative_gap():
     with pytest.raises(InvalidDecomposition, match="^gap -5 between indices 10 and 5 is below 3$"):
         validate(3, [10, 5])

@@ -1,13 +1,16 @@
 """Harness checks: pass on healthy tables, fail on corrupted ones."""
 
 import json
+import os
+import threading
 from collections import Counter
+from contextlib import nullcontext
 
 import pytest
 
 from nzeck import (IndexNotFound, block, decompose, fixed_summand, harness, perturbed_table,
                    term)
-from nzeck.harness import (CheckReport, check_block_counts,
+from nzeck.harness import (ALL_CHECKS, MAX_RECORDED_FAILURES, CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
                            check_unique_decomposition)
@@ -274,3 +277,83 @@ def test_fixed_summand_walks_once_per_order_for_every_any_summand_case(monkeypat
     # per order: five smallest-summand scans (k = n..n+4) and one
     # any-summand walk shared by its seven cases
     assert Counter(walks) == {3: 5 + 1, 4: 5 + 1}
+
+
+# run_checks against direct calls: every check, small sweeps over each
+# check's default orders, forked and in-process
+SWEEP = {"value_max": 300, "length_max": 300, "bound": 3000}
+DIRECT = {"unique-decomposition": {"value_max": 300}, "decomposition-prefix": {"length_max": 300},
+          "fixed-summand": {"bound": 3000}}
+
+
+@pytest.mark.parametrize("corruption", [None, (3, 9), (3, 9, 10**8)])
+def test_run_checks_equals_direct_calls(cpus, corruption):
+    with perturbed_table(*corruption) if corruption else nullcontext():
+        merged = harness.run_checks(ALL_CHECKS, SWEEP)
+        direct = [check(**DIRECT.get(check_id, {})) for check_id, check in ALL_CHECKS.items()]
+    assert merged == direct
+    # parameter order too, since it fixes verify's JSON bytes
+    assert [list(r.parameters) for r in merged] == [list(r.parameters) for r in direct]
+    assert all(r.passed for r in direct) == (corruption is None)
+
+
+def test_run_checks_keeps_the_first_failures_across_orders(cpus):
+    options = {"n_range": [3, 4], "depth": 11, "staircase_max": 1}
+    with perturbed_table(3, 9), perturbed_table(4, 10):
+        (merged,) = harness.run_checks(["block-counts"], options)
+        direct = check_block_counts(**options)
+    assert merged == direct
+    assert merged.failures_total == 6 > MAX_RECORDED_FAILURES
+    assert [inputs["n"] for inputs, _, _ in merged.failures] == [3, 3, 3, 3, 4]
+
+
+def test_fixed_summand_runs_its_rows_cases_with_order_three(cpus, monkeypatch):
+    def broken_rows(n, k, j, tops):
+        raise IndexNotFound(f"row {j}")
+    monkeypatch.setattr(harness, "_rows_pair", broken_rows)
+    options = {"max_k_offset": 1, "bound": 2000}
+    with perturbed_table(4, 10):
+        (merged,) = harness.run_checks(["fixed-summand"], options)
+        direct = check_fixed_summand(**options)
+    assert merged == direct
+    # the six rows cases fail before any of order 4's failures is reached
+    assert merged.failures_total > 6
+    assert [inputs["sub"] for inputs, _, _ in merged.failures] == ["rows"] * MAX_RECORDED_FAILURES
+
+
+def test_run_checks_sums_cases_and_times_over_orders(cpus, monkeypatch):
+    def timed(n_range=(3, 4)):
+        return CheckReport("timed", {"n_range": list(n_range)}, cases_run=10 * n_range[0],
+                           elapsed_s=float(n_range[0]))
+    monkeypatch.setitem(ALL_CHECKS, "timed", timed)
+    (report,) = harness.run_checks(["timed"], {"n_range": [2, 3, 5], "depth": 8})
+    assert (report.cases_run, report.elapsed_s) == (100, 10.0)
+    assert report.parameters == {"n_range": [2, 3, 5], "empirical_orders": [2]}
+
+
+def _where(n_range=(3, 4)):
+    """A check that reports the process it ran in."""
+    return CheckReport("where", {"n_range": list(n_range), "pid": os.getpid()}, cases_run=1)
+
+
+def test_run_checks_forks_only_with_more_than_one_cpu(cpus, monkeypatch):
+    monkeypatch.setitem(ALL_CHECKS, "where", _where)
+    (report,) = harness.run_checks(["where"], {})
+    assert (report.parameters["pid"] == os.getpid()) == (cpus == 1)
+    # one task needs no worker
+    (report,) = harness.run_checks(["where"], {"n_range": [3]})
+    assert report.parameters["pid"] == os.getpid()
+
+
+def test_run_checks_stays_in_process_while_another_thread_runs(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    monkeypatch.setitem(ALL_CHECKS, "where", _where)
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        (report,) = harness.run_checks(["where"], {})
+    finally:
+        release.set()
+        other.join()
+    assert report.parameters["pid"] == os.getpid()
