@@ -28,8 +28,7 @@ def _cap(flag: int | None, name: str, default: int) -> int:
         value = int(text)
     except ValueError:
         raise ValueError(f"{name} must be an integer, got {text!r}") from None
-    if value < 0:
-        raise ValueError(f"{name} must be >= 0, got {value}")
+    sequence.require_int(name, value, 0)
     return value
 
 

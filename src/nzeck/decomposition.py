@@ -38,10 +38,8 @@ def decompose(n: int, value: int) -> list[int]:
     wrong answer or IndexNotFound, never a hang.
     """
     table = get_table(n)
-    if type(value) is not int:
-        require_int("value", value)
-    if value < 0:
-        raise ValueError(f"value must be >= 0, got {value!r}")
+    if type(value) is not int or value < 0:
+        require_int("value", value, 0)
     fwd = table.forward_past(value)
     indices: list[int] = []
     remainder = value
@@ -132,8 +130,8 @@ def brute_force_decompositions(n: int, value: int, max_index: int) -> list[list[
     programming over the table.
     """
     require_order(n)
-    if value < 1:
-        raise ValueError(f"value must be >= 1, got {value!r}")
+    require_int("value", value, 1)
+    require_int("max_index", max_index)
     table = get_table(n)
     terms = [0] * n + [table.term(c) for c in range(n, max_index + 1)]
     # max_head[c]: either skip c or take it and continue at c - n

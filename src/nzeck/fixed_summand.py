@@ -27,17 +27,12 @@ from .sequence import get_table, require_int, require_order
 from .words import DEFAULT_SCAN_LIMIT, stream
 
 
-def _require_fixed_index(n: int, k: int) -> None:
-    require_order(n)
-    if k < n:
-        raise ValueError(f"fixed index k must be >= n = {n}, got {k!r}")
-
-
 def smallest_summand_stream(n: int, k: int) -> Iterator[int]:
     """Ascending integers whose smallest summand is F(n, k), generated by
     the letter-driven gap rule: one big-int addition per member, adding
     step[a] = F(n, k + a) for each letter a of the word."""
-    _require_fixed_index(n, k)
+    require_order(n)
+    require_int("fixed index k", k, n)
     table = get_table(n)
     step = tuple(table.term(k + i) for i in range(n + 1))
     return accumulate(map(step.__getitem__, stream(n)), initial=step[0])
@@ -45,9 +40,7 @@ def smallest_summand_stream(n: int, k: int) -> Iterator[int]:
 
 def smallest_summand_members(n: int, k: int, count: int) -> list[int]:
     """First `count` members of the smallest-summand sequence."""
-    require_int("count", count)
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count!r}")
+    require_int("count", count, 1)
     return list(islice(smallest_summand_stream(n, k), count))
 
 
@@ -58,8 +51,10 @@ def smallest_summand_scan(n: int, k: int, bound: int,
 
     The decompositions come from the add-one walk
     (`successive_decompositions`), not from the letters of the word."""
-    _require_fixed_index(n, k)
+    require_order(n)
+    require_int("fixed index k", k, n)
     require_int("bound", bound)
+    require_int("scan_limit", scan_limit, 0)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
     return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
@@ -71,9 +66,7 @@ def largest_summand_rows(n: int, j: int) -> tuple[int, int]:
     sequence whose members have largest summand F(n, k + j), for any fixed
     k >= n and j >= n: rows F(n, j)+1 through F(n, j+1)."""
     require_order(n)
-    require_int("j", j)
-    if j < n:
-        raise ValueError(f"j must be >= n = {n}, got {j!r}")
+    require_int("j", j, n)
     table = get_table(n)
     return table.term(j) + 1, table.term(j + 1)
 
@@ -92,10 +85,9 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
     the answer.
     """
-    _require_fixed_index(n, k)
-    require_int("bound", bound)
-    if bound < 1:
-        raise ValueError(f"bound must be >= 1, got {bound!r}")
+    require_order(n)
+    require_int("fixed index k", k, n)
+    require_int("bound", bound, 1)
     run_len = get_table(n).term(k - (n - 1))
     bases = list(takewhile(bound.__ge__, smallest_summand_stream(n, k)))
     # run ends (exclusive) stay lazy: a list of them would be held beside
@@ -114,13 +106,15 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
 
 
 def _any_summand_flags(n: int, ks: Iterable[int], bound: int,
-                       scan_limit: int) -> dict[int, bytearray]:
+                       scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict[int, bytearray]:
     """The any-summand scan for every k in `ks` from one add-one walk over
     1..bound: flags[k][value] is 1 iff the decomposition of value contains
     index k. A bound below 1 is an empty scan."""
+    require_order(n)
     for k in ks:
-        _require_fixed_index(n, k)
+        require_int("fixed index k", k, n)
     require_int("bound", bound)
+    require_int("scan_limit", scan_limit, 0)
     if bound > scan_limit:
         raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
     flags = {k: bytearray(max(bound, 0) + 1) for k in ks}

@@ -24,7 +24,6 @@ from itertools import compress, islice
 from time import perf_counter
 from typing import Callable, Iterable
 
-from . import fixed_summand
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
 from .errors import BlockTooLarge, ScanLimitExceeded
@@ -349,11 +348,10 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
             report.guarded({"n": n, "k": k, "bound": q_bound, "sub": "smallest-summand"},
                            lambda n=n, k=k: _q_pair(n, k, q_bound))
         # generator vs oracle, any-summand family: one add-one walk scans
-        # for every k, and an exception there fails each k's case. The limit
-        # is the scan's own default, read when the check runs.
+        # for every k, and an exception there fails each k's case
         ks = range(n, n + max_k_offset + 1)
         try:
-            flags = _any_summand_flags(n, ks, bound, fixed_summand.DEFAULT_SCAN_LIMIT)
+            flags = _any_summand_flags(n, ks, bound)
         except Exception as exc:
             flags = exc
         for k in ks:

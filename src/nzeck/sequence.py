@@ -20,10 +20,13 @@ def require_order(n: int) -> None:
         raise ValueError(f"order n must be an integer >= 2, got {n!r}")
 
 
-def require_int(name: str, value: int) -> None:
-    """Raise ValueError unless value is an int; bool does not count."""
+def require_int(name: str, value: int, low: int | None = None) -> None:
+    """Raise ValueError unless value is an int (bool does not count) and,
+    when low is given, value >= low. The message names the argument."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if low is not None and value < low:
+        raise ValueError(f"{name} must be >= {low}, got {value!r}")
 
 
 class SequenceTable:
@@ -105,8 +108,7 @@ class SequenceTable:
         Well-defined for bound >= 1 because F(n) = 1 and F is strictly
         increasing from index n on.
         """
-        if bound < 1:
-            raise ValueError(f"bound must be >= 1, got {bound!r}")
+        require_int("bound", bound, 1)
         return bisect_right(self.forward_past(bound), bound, self.n) - 1
 
     def stats(self) -> dict[str, int]:
@@ -169,8 +171,8 @@ def perturbed_table(n: int, m: int, delta: int = 1):
     can be perturbed.
     """
     require_order(n)
-    if m < 1:
-        raise ValueError("only forward indices (m >= 1) can be perturbed")
+    require_int("index m", m, 1)
+    require_int("delta", delta)
     broken = SequenceTable(n)
     broken.term(m)
     broken._fwd[m] += delta

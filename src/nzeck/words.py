@@ -41,9 +41,8 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
     is a fresh list of ints.
     """
     require_order(n)
-    require_int("block index", m)
-    if m < 1:
-        raise ValueError(f"block index must be >= 1, got {m!r}")
+    require_int("block index", m, 1)
+    require_int("length_cap", length_cap, 0)
     # Sizes are reported by bit length: str() of an int above 4300 digits
     # raises. F(n, m) >= 2 F(n, m - n) gives F(n, m) >= 2**((m - n) // n) for
     # m >= n, which refuses most oversized blocks before growing a table whose
@@ -116,9 +115,7 @@ def char_at(n: int, pos: int) -> int:
     periodic in c with period n (last of B(c) = last of B(c-n)), giving
     last(B(c)) = ((c - 1) mod n) + 1. Cost is one greedy decomposition.
     """
-    require_int("position", pos)
-    if pos < 1:
-        raise ValueError(f"position must be >= 1, got {pos!r}")
+    require_int("position", pos, 1)
     smallest = decompose(n, pos)[0]
     return (smallest - 1) % n + 1
 
@@ -131,9 +128,7 @@ def count_block(n: int, m: int) -> list[int]:
     when m is small. Does not build the block.
     """
     require_order(n)
-    require_int("block index", m)
-    if m < 1:
-        raise ValueError(f"block index must be >= 1, got {m!r}")
+    require_int("block index", m, 1)
     return _counts_over(n, [m])
 
 
@@ -141,9 +136,7 @@ def count_prefix(n: int, length: int) -> list[int]:
     """Per-letter counts of the prefix of the given length, by the closed
     form summed over the decomposition indices of `length`."""
     require_order(n)
-    require_int("prefix length", length)
-    if length < 0:
-        raise ValueError(f"prefix length must be >= 0, got {length!r}")
+    require_int("prefix length", length, 0)
     return _counts_over(n, decompose(n, length))
 
 
@@ -179,9 +172,8 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
     """Per-letter counts of the prefix by tallying the stream (the oracle
     for count_prefix), one chunk at a time."""
     require_order(n)
-    require_int("prefix length", length)
-    if length < 0:
-        raise ValueError(f"prefix length must be >= 0, got {length!r}")
+    require_int("prefix length", length, 0)
+    require_int("scan_limit", scan_limit, 0)
     if length > scan_limit:
         raise ScanLimitExceeded(f"scan of {length} letters exceeds the limit {scan_limit}")
     counts = [0] * n

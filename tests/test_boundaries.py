@@ -1,0 +1,114 @@
+"""Every integer argument of every public function is checked at the call:
+a float, a bool, a str or a value below its bound is a ValueError naming it."""
+
+import inspect
+import re
+
+import pytest
+
+import nzeck
+
+ORDER_MESSAGE = "order n must be an integer >= 2, got {!r}"
+TELESCOPING_BELOW = "need m >= 1, v >= 1, 1 <= u <= n; got m={m}, v={v}, u={u}"
+
+# function: valid keyword arguments
+VALID = {
+    nzeck.any_summand_members: dict(n=3, k=4, bound=30),
+    nzeck.any_summand_scan: dict(n=3, k=4, bound=30, scan_limit=100),
+    nzeck.block: dict(n=3, m=9, length_cap=100),
+    nzeck.brute_force_decompositions: dict(n=3, value=5, max_index=8),
+    nzeck.char_at: dict(n=3, pos=10),
+    nzeck.count_block: dict(n=3, m=9),
+    nzeck.count_prefix: dict(n=3, length=10),
+    nzeck.count_prefix_scan: dict(n=3, length=10, scan_limit=100),
+    nzeck.decompose: dict(n=3, value=10),
+    nzeck.get_table: dict(n=3),
+    nzeck.largest_index_at_most: dict(n=3, bound=9),
+    nzeck.largest_summand_rows: dict(n=3, j=4),
+    nzeck.perturbed_table: dict(n=3, m=9, delta=1),
+    nzeck.recompose: dict(n=3, indices=[3, 7]),
+    nzeck.smallest_summand_members: dict(n=3, k=4, count=3),
+    nzeck.smallest_summand_scan: dict(n=3, k=4, bound=30, scan_limit=100),
+    nzeck.smallest_summand_stream: dict(n=3, k=4),
+    nzeck.stream: dict(n=3),
+    nzeck.stream_chunks: dict(n=3),
+    nzeck.telescoping_identity: dict(n=3, m=2, v=1, u=1),
+    nzeck.term: dict(n=3, m=5),
+    nzeck.validate: dict(n=3, indices=[3, 7]),
+}
+NO_INTEGER_ARGUMENT = {"format_letters"}
+
+# (function, argument, its name in messages, its lower bound or None);
+# every order n is refused with ORDER_MESSAGE and has its own rows below
+ARGUMENTS = [
+    (nzeck.any_summand_members, "k", "fixed index k", 3),
+    (nzeck.any_summand_members, "bound", "bound", 1),
+    (nzeck.any_summand_scan, "k", "fixed index k", 3),
+    (nzeck.any_summand_scan, "bound", "bound", None),
+    (nzeck.any_summand_scan, "scan_limit", "scan_limit", 0),
+    (nzeck.block, "m", "block index", 1),
+    (nzeck.block, "length_cap", "length_cap", 0),
+    (nzeck.brute_force_decompositions, "value", "value", 1),
+    (nzeck.brute_force_decompositions, "max_index", "max_index", None),
+    (nzeck.char_at, "pos", "position", 1),
+    (nzeck.count_block, "m", "block index", 1),
+    (nzeck.count_prefix, "length", "prefix length", 0),
+    (nzeck.count_prefix_scan, "length", "prefix length", 0),
+    (nzeck.count_prefix_scan, "scan_limit", "scan_limit", 0),
+    (nzeck.decompose, "value", "value", 0),
+    (nzeck.largest_index_at_most, "bound", "bound", 1),
+    (nzeck.largest_summand_rows, "j", "j", 3),
+    (nzeck.perturbed_table, "m", "index m", 1),
+    (nzeck.perturbed_table, "delta", "delta", None),
+    (nzeck.smallest_summand_members, "k", "fixed index k", 3),
+    (nzeck.smallest_summand_members, "count", "count", 1),
+    (nzeck.smallest_summand_scan, "k", "fixed index k", 3),
+    (nzeck.smallest_summand_scan, "bound", "bound", None),
+    (nzeck.smallest_summand_scan, "scan_limit", "scan_limit", 0),
+    (nzeck.smallest_summand_stream, "k", "fixed index k", 3),
+    (nzeck.telescoping_identity, "m", "m", 1),
+    (nzeck.telescoping_identity, "v", "v", 1),
+    (nzeck.telescoping_identity, "u", "u", 1),
+    (nzeck.term, "m", "index", None),
+] + [(func, "n", "order n", 2) for func in VALID]
+
+
+def _cases():
+    for func, arg, name, low in ARGUMENTS:
+        good = VALID[func][arg]
+        bad = [("integral-float", float(good)), ("float", good + 0.5), ("bool", True),
+               ("str", str(good))]
+        if low is not None:
+            bad.append(("below", low - 1))
+        for kind, value in bad:
+            if name == "order n":
+                message = ORDER_MESSAGE.format(value)
+            elif kind != "below":
+                message = f"{name} must be an integer, got {value!r}"
+            elif func is nzeck.telescoping_identity:
+                message = TELESCOPING_BELOW.format(**{**VALID[func], arg: value})
+            else:
+                message = f"{name} must be >= {low}, got {value!r}"
+            yield pytest.param(func, {**VALID[func], arg: value}, message,
+                               id=f"{func.__name__}-{arg}-{kind}")
+
+
+@pytest.mark.parametrize("func,kwargs,message", _cases())
+def test_a_bad_integer_argument_is_a_value_error_naming_it(func, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        result = func(**kwargs)
+        if hasattr(result, "__enter__"):  # perturbed_table checks on entry
+            with result:
+                pass
+
+
+def test_the_table_lists_every_integer_argument_of_every_public_function():
+    public = {name: getattr(nzeck, name) for name in nzeck.__all__
+              if inspect.isfunction(getattr(nzeck, name)) and not name.startswith("check_")}
+    integer_args = {name: {p.name for p in inspect.signature(func).parameters.values()
+                           if p.annotation in ("int", int)}
+                    for name, func in public.items()}
+    listed = {name: set() for name in NO_INTEGER_ARGUMENT}
+    for func, arg, _, _ in ARGUMENTS:
+        listed.setdefault(func.__name__, set()).add(arg)
+    assert listed == integer_args

@@ -8,8 +8,8 @@ from contextlib import nullcontext
 
 import pytest
 
-from nzeck import (IndexNotFound, block, decompose, fixed_summand, harness, perturbed_table,
-                   term)
+from nzeck import (DEFAULT_SCAN_LIMIT, IndexNotFound, block, decompose, fixed_summand, harness,
+                   perturbed_table, term)
 from nzeck.harness import (ALL_CHECKS, MAX_RECORDED_FAILURES, CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -243,16 +243,16 @@ def test_fixed_summand_refuses_rows_above_the_scan_limit(monkeypatch):
 
 def test_fixed_summand_fails_each_any_summand_case_when_the_walk_is_over_the_limit(monkeypatch):
     monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
-    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
-    healthy = check_fixed_summand(**sweep)
+    sweep = dict(n_range=(3,), max_k_offset=1)
+    healthy = check_fixed_summand(**sweep, bound=2000)
     members_calls = []
     monkeypatch.setattr(harness, "any_summand_members",
                         lambda *args: members_calls.append(args))
-    monkeypatch.setattr(fixed_summand, "DEFAULT_SCAN_LIMIT", 1999)
-    report = check_fixed_summand(**sweep)
+    report = check_fixed_summand(**sweep, bound=DEFAULT_SCAN_LIMIT + 1)
     assert report.cases_run == healthy.cases_run
     assert [(inputs["sub"], inputs["k"], actual) for inputs, _, actual in report.failures] == [
-        ("any-summand", k, "ScanLimitExceeded: scan to 2000 exceeds the limit 1999")
+        ("any-summand", k, f"ScanLimitExceeded: scan to {DEFAULT_SCAN_LIMIT + 1} exceeds "
+                           f"the limit {DEFAULT_SCAN_LIMIT}")
         for k in (3, 4)]
     assert members_calls == []
 
