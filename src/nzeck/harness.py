@@ -22,7 +22,7 @@ from decimal import Decimal
 from functools import wraps
 from itertools import compress, islice
 from time import perf_counter
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Iterator
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
@@ -186,11 +186,7 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
         # set-up, blocks first; an exception here is one failed case
         try:
             blocks = {m: block(n, m) for m in range(1, depth + 1)}
-            need = table.term(depth) + table.term(depth - n + 1)
-            if need > DEFAULT_LENGTH_CAP:
-                raise BlockTooLarge(f"prefix of {need} letters exceeds the length cap "
-                                    f"{DEFAULT_LENGTH_CAP}")
-            prefix = list(islice(stream(n), need))
+            prefix = list(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))
         except Exception as exc:
             report.cases_run += 1
             report.fail({"n": n, "sub": "set-up"}, "no exception", f"{type(exc).__name__}: {exc}")
@@ -241,6 +237,14 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     return report
 
 
+def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Iterator[int]:
+    """The word's first `length` letters; a length above `length_cap` is
+    refused before any letter is drawn."""
+    if length > length_cap:
+        raise BlockTooLarge(f"prefix of {length} letters exceeds the length cap {length_cap}")
+    return islice(stream(n), length)
+
+
 def _staircase_pair(n: int, indices: list[int]) -> tuple[list[int], list[int]]:
     """The word's prefix of length sum F(c) over `indices`, by the table,
     and the blocks at `indices` concatenated. The blocks are built first,
@@ -262,12 +266,18 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
     the closed-form counts (what `count_prefix` returns) and the block
     concatenation. Letters are held as the characters chr(1)..chr(n), so
     each prefix comparison is one memory compare of all `length` letters.
+    A `length_max` above the length cap is one failed set-up case per order.
     """
     n_range = list(n_range)
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        prefix = "".join(map(chr, islice(stream(n), length_max)))
+        try:
+            prefix = "".join(map(chr, _word_prefix(n, length_max)))
+        except Exception as exc:
+            report.cases_run += 1
+            report.fail({"n": n, "sub": "set-up"}, "no exception", f"{type(exc).__name__}: {exc}")
+            continue
         blocks: dict[int, str] = {}
         tally = [0] * n
         for length in range(1, length_max + 1):
@@ -363,17 +373,21 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         if n == 3:
             k = 4
             try:
-                hi_row = table.term(9)
-                if hi_row > DEFAULT_SCAN_LIMIT:
-                    raise ScanLimitExceeded(f"{hi_row} rows exceed the scan limit "
-                                            f"{DEFAULT_SCAN_LIMIT}")
-                tops = [decompose(n, q)[-1] for q in smallest_summand_members(n, k, hi_row)]
+                tops = _row_tops(n, k, table.term(9))
             except Exception as exc:
                 tops = exc
             for j in range(3, 9):
                 report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
                                lambda j=j: _rows_pair(n, k, j, tops))
     return report
+
+
+def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
+    """The largest index of each of the first `rows` smallest-summand
+    members for k; more than `scan_limit` rows are refused."""
+    if rows > scan_limit:
+        raise ScanLimitExceeded(f"{rows} rows exceed the scan limit {scan_limit}")
+    return [decompose(n, q)[-1] for q in smallest_summand_members(n, k, rows)]
 
 
 def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[list, list]:

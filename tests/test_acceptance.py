@@ -1,10 +1,10 @@
 """Acceptance suite: every criterion at its stated sweep size and tolerance.
 
 All comparisons are exact (integer equality); the only tolerances are the
-two runtime targets. Criteria 3-6 and 8-11 run the harness checks that
-`nzeck verify` runs, each once per session at the union of the criterion's
-sweep and the check's default sweep, plus the criterion's spot values. Run
-with `pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
+two runtime targets. Criteria 1, 3-6 and 8-11 read one `run_checks` pass of
+the default `nzeck verify` sweep, made once per session, plus one run of
+fixed-summand at orders 2 and 5, and add their spot values. Run with
+`pytest tests/test_acceptance.py -v -s` to see one PASS/FAIL line per
 criterion.
 """
 
@@ -14,9 +14,7 @@ from itertools import islice
 
 from nzeck import (any_summand_members, char_at, count_prefix, get_table,
                    smallest_summand_members, stream, term)
-from nzeck.harness import (ALL_CHECKS, check_block_counts,
-                           check_decomposition_prefix, check_fixed_summand,
-                           check_mutation_sanity, check_unique_decomposition)
+from nzeck.harness import ALL_CHECKS, check_mutation_sanity, run_checks
 
 
 def report(num, description, ok, detail=""):
@@ -35,38 +33,37 @@ def take(n, count):
 
 
 @cache
-def block_counts():
-    return check_block_counts(n_range=(2, 3, 4, 5), depth=25, staircase_max=5)
-
-
-@cache
-def decomposition_prefix():
-    return check_decomposition_prefix(n_range=(2, 3, 4, 5), length_max=10_000)
+def default_sweep():
+    """The reports of the default `nzeck verify` sweep, by check id, and the
+    sweep's wall time: the `run_checks` call that `nzeck verify` makes."""
+    started = time.perf_counter()
+    reports = run_checks(ALL_CHECKS, {})
+    return {r.check_id: r for r in reports}, time.perf_counter() - started
 
 
 @cache
 def fixed_summand():
-    return check_fixed_summand(n_range=(2, 3, 4, 5), max_k_offset=6, bound=100_000)
+    """fixed-summand at orders 2..5, as (passed, outcome): the default
+    sweep's report at orders 3 and 4, and one more run at orders 2 and 5."""
+    inner = default_sweep()[0]["fixed-summand"]
+    (outer,) = run_checks(["fixed-summand"], {"n_range": [2, 5]})
+    return inner.passed and outer.passed, f"{outcome(inner)}; orders 2 and 5: {outcome(outer)}"
 
 
 def test_criterion_01_unique_decomposition_and_round_trip():
-    started = time.perf_counter()
-    result = check_unique_decomposition(n_range=(2, 3, 4, 5, 6), value_max=100_000)
-    elapsed = time.perf_counter() - started
+    reports, elapsed = default_sweep()
+    result = reports["unique-decomposition"]
     ok = result.passed and elapsed < 60.0
     report(1, "uniqueness (exhaustive, N<=2000) and round trip (N<=1e5, n=2..6)",
-           ok, f"{result.cases_run} cases in {elapsed:.1f}s; failures={result.failures_total}")
-    assert result.cases_run == 510_000
-    assert 0.0 < result.elapsed_s <= elapsed
+           ok, f"{outcome(result)}; default sweep in {elapsed:.1f}s")
 
 
 def test_default_sweep_case_counts():
-    # the sweep `nzeck verify` runs by default, one check at a time
-    expected = {"concat-prefixes": 160, "block-counts": 220, "decomposition-prefix": 80_000,
-                "fixed-summand": 354, "mutation-sanity": 3}
-    reports = [ALL_CHECKS[check_id]() for check_id in expected]
-    assert {r.check_id: r.cases_run for r in reports} == expected
-    assert all(r.passed for r in reports)
+    expected = {"unique-decomposition": 510_000, "concat-prefixes": 160, "block-counts": 220,
+                "decomposition-prefix": 80_000, "fixed-summand": 354, "mutation-sanity": 3}
+    reports, _ = default_sweep()
+    assert {check_id: r.cases_run for check_id, r in reports.items()} == expected
+    assert all(r.passed for r in reports.values())
 
 
 def test_criterion_02_word_fixtures():
@@ -76,25 +73,25 @@ def test_criterion_02_word_fixtures():
 
 
 def test_criterion_03_block_counts_closed_form():
-    result = block_counts()
+    result = default_sweep()[0]["block-counts"]
     report(3, "closed-form block counts equal scans, totals equal the terms (n=2..5, m<=25)",
            result.passed, outcome(result))
 
 
 def test_criterion_04_staircase_prefixes():
-    result = block_counts()
+    result = default_sweep()[0]["block-counts"]
     report(4, "staircase concatenations match streamed prefixes (n=2..5; m=1..5)",
            result.passed, outcome(result))
 
 
 def test_criterion_05_decomposition_prefix_law():
-    result = decomposition_prefix()
+    result = default_sweep()[0]["decomposition-prefix"]
     report(5, "decomposition-ordered block concatenation equals each prefix (N<=1e4, n=2..5)",
            result.passed, outcome(result))
 
 
 def test_criterion_06_prefix_counts_closed_form():
-    result = decomposition_prefix()
+    result = default_sweep()[0]["decomposition-prefix"]
     spot = count_prefix(3, 10) == [3, 2, 5]
     report(6, "closed-form prefix counts equal scans (N<=1e4, n=2..5); spot (3,10)->(3,2,5)",
            result.passed and spot, f"{outcome(result)}, spot={spot}")
@@ -122,30 +119,26 @@ def _timed(thunk):
 
 
 def test_criterion_08_smallest_summand_sequence():
-    result = fixed_summand()
+    ok, detail = fixed_summand()
     spot = smallest_summand_members(3, 4, 4) == [2, 8, 11, 15]
     report(8, "gap-rule generator equals the scan oracle (n=2..5; k=n..n+4; <=1e4)",
-           result.passed and spot, f"{outcome(result)}, spot={spot}")
+           ok and spot, f"{detail}, spot={spot}")
 
 
 def test_criterion_09_row_ranges():
-    result = fixed_summand()
-    report(9, "row ranges classify largest summands (n=3, k=4, j=3..8)",
-           result.passed, outcome(result))
+    report(9, "row ranges classify largest summands (n=3, k=4, j=3..8)", *fixed_summand())
 
 
 def test_criterion_10_any_summand_sets():
-    result = fixed_summand()
+    ok, detail = fixed_summand()
     spots = (any_summand_members(3, 4, 20) == [2, 8, 11, 15]
              and any_summand_members(3, 6, 30) == [4, 5, 17, 18, 23, 24])
     report(10, "fixed-summand sets equal the scan oracle (n=2..5; k=n..n+6; bound 1e5)",
-           result.passed and spots, f"{outcome(result)}, spots={spots}")
+           ok and spots, f"{detail}, spots={spots}")
 
 
 def test_criterion_11_telescoping_identity():
-    result = fixed_summand()
-    report(11, "telescoping identity exact (n=2..5, m<=10, v<=4, u<=n)",
-           result.passed, outcome(result))
+    report(11, "telescoping identity exact (n=2..5, m<=10, v<=4, u<=n)", *fixed_summand())
 
 
 def test_criterion_12_mutation_sanity():

@@ -1,5 +1,6 @@
 """Every integer argument of every public function is checked at the call:
-a float, a bool, a str or a value below its bound is a ValueError naming it."""
+a float, a bool, a str, None or a value below its bound is a ValueError
+naming it."""
 
 import inspect
 import re
@@ -77,7 +78,7 @@ def _cases():
     for func, arg, name, low in ARGUMENTS:
         good = VALID[func][arg]
         bad = [("integral-float", float(good)), ("float", good + 0.5), ("bool", True),
-               ("str", str(good))]
+               ("false", False), ("str", str(good)), ("none", None)]
         if low is not None:
             bad.append(("below", low - 1))
         for kind, value in bad:

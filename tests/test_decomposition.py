@@ -1,4 +1,4 @@
-"""Greedy decomposition against the add-one walk and the exhaustive oracle."""
+"""Greedy decomposition, recompose and validate, against the exhaustive oracle."""
 
 from itertools import combinations
 
@@ -6,7 +6,6 @@ import pytest
 
 from nzeck import (InvalidDecomposition, brute_force_decompositions,
                    decompose, get_table, recompose, term, validate)
-from nzeck.decomposition import successive_decompositions
 
 
 @pytest.mark.parametrize("n,value,expected", [
@@ -18,24 +17,6 @@ from nzeck.decomposition import successive_decompositions
 ])
 def test_decompose_examples(n, value, expected):
     assert decompose(n, value) == expected
-
-
-def test_decompose_rejects_negative():
-    with pytest.raises(ValueError):
-        decompose(3, -1)
-
-
-@pytest.mark.parametrize("value", [True, False, 2.5, 10.0, "10", None])
-def test_decompose_rejects_non_integer(value):
-    with pytest.raises(ValueError, match="must be an integer"):
-        decompose(3, value)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_successive_decompositions_match_greedy(n):
-    walk = successive_decompositions(n)
-    for value, rep in zip(range(1, 20_001), walk):
-        assert rep[::-1] == decompose(n, value), value
 
 
 @pytest.mark.parametrize("n,indices,expected", [
@@ -113,11 +94,6 @@ def test_brute_force_examples(n, value, max_index, expected):
     assert brute_force_decompositions(n, value, max_index) == expected
 
 
-def test_brute_force_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        brute_force_decompositions(3, 0, 10)
-
-
 def _naive_gap_subsets(n, max_index):
     """Every gap-n subset of [n, max_index] by plain enumeration, by sum."""
     by_sum = {}
@@ -138,27 +114,6 @@ def test_brute_force_matches_naive_enumeration(n):
         for value in range(1, 61):
             assert brute_force_decompositions(n, value, max_index) == sorted(naive.get(value, [])), \
                 (max_index, value)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_uniqueness_desk_scale(n):
-    # full 2000-sweep runs in the acceptance suite
-    table = get_table(n)
-    for value in range(1, 301):
-        greedy = decompose(n, value)
-        found = brute_force_decompositions(n, value, table.largest_index_at_most(value))
-        assert found == [greedy], value
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
-def test_round_trip_and_invariants(n):
-    for value in range(0, 3001):
-        indices = decompose(n, value)
-        validate(n, indices)
-        assert recompose(n, indices) == value
-        if indices:
-            assert indices[0] >= n
-            assert all(b - a >= n for a, b in zip(indices, indices[1:]))
 
 
 def _uncapped_greedy(n, value):

@@ -41,14 +41,6 @@ def test_smallest_summand_stream_matches_per_member_loop(n):
         assert list(islice(smallest_summand_stream(n, k), count)) == expected, k
 
 
-@pytest.mark.parametrize("family", [smallest_summand_members, smallest_summand_scan,
-                                    any_summand_members, any_summand_scan])
-@pytest.mark.parametrize("bad", [True, 2.5, 10.0, "10", None])
-def test_counts_and_bounds_reject_non_integers(family, bad):
-    with pytest.raises(ValueError, match="must be an integer"):
-        family(3, 4, bad)
-
-
 def test_smallest_summand_strictly_increasing():
     members = smallest_summand_members(3, 5, 50)
     assert all(a < b for a, b in zip(members, members[1:]))
@@ -63,18 +55,6 @@ def test_smallest_summand_scan_examples(n, k, bound, expected):
     assert smallest_summand_scan(n, k, bound) == expected
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_smallest_summand_generator_matches_scan(n):
-    for k in range(n, n + 5):
-        scanned = smallest_summand_scan(n, k, 2000)
-        assert smallest_summand_members(n, k, max(len(scanned), 1))[:len(scanned)] == scanned
-
-
-def test_smallest_summand_rejects_low_k():
-    with pytest.raises(ValueError):
-        smallest_summand_members(3, 2, 4)
-
-
 def test_smallest_summand_scan_limit():
     with pytest.raises(ScanLimitExceeded):
         smallest_summand_scan(3, 4, 100, scan_limit=10)
@@ -87,17 +67,6 @@ def test_smallest_summand_scan_limit():
 ])
 def test_largest_summand_rows_examples(n, j, expected):
     assert largest_summand_rows(n, j) == expected
-
-
-@pytest.mark.parametrize("j", [5.0, True, "5"])
-def test_largest_summand_rows_rejects_non_integer_j(j):
-    with pytest.raises(ValueError, match="j must be an integer"):
-        largest_summand_rows(3, j)
-
-
-def test_largest_summand_rows_rejects_low_j():
-    with pytest.raises(ValueError):
-        largest_summand_rows(3, 2)
 
 
 @pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 5)])
@@ -204,11 +173,6 @@ def test_one_walk_flags_every_k_as_the_per_k_scans_do(n):
         assert scanned == expected[k] == list(compress(range(bound + 1), flags[k])), k
 
 
-def test_any_summand_rejects_bad_bound():
-    with pytest.raises(ValueError):
-        any_summand_members(3, 4, 0)
-
-
 @pytest.mark.parametrize("n,m,v,u", [
     (3, 1, 1, 2),
     (3, 2, 2, 1),
@@ -216,14 +180,6 @@ def test_any_summand_rejects_bad_bound():
 ])
 def test_telescoping_examples(n, m, v, u):
     assert telescoping_identity(n, m, v, u)
-
-
-def test_telescoping_sweep():
-    for n in (2, 3, 4, 5):
-        for m in range(1, 11):
-            for v in range(1, 5):
-                for u in range(1, n + 1):
-                    assert telescoping_identity(n, m, v, u), (n, m, v, u)
 
 
 def test_telescoping_rejects_bad_args():
@@ -240,9 +196,3 @@ def test_gap_rule_matches_letters():
     letters = list(islice(stream(n), 39))
     for j, (a, b) in enumerate(zip(members, members[1:])):
         assert b - a == term(n, k + letters[j]), j
-
-
-@pytest.mark.parametrize("args", [(2.0, 1, 1), (1, True, 1), (1, 1, 1.0), (1, 1, True)])
-def test_telescoping_rejects_non_integer_args(args):
-    with pytest.raises(ValueError, match="must be an integer"):
-        telescoping_identity(3, *args)

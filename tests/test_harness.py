@@ -3,13 +3,15 @@
 import json
 import os
 import threading
+import time
 from collections import Counter
 from contextlib import nullcontext
 
 import pytest
 
-from nzeck import (DEFAULT_SCAN_LIMIT, IndexNotFound, block, decompose, fixed_summand, harness,
-                   perturbed_table, term)
+from nzeck import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, BlockTooLarge, IndexNotFound,
+                   ScanLimitExceeded, block, decompose, fixed_summand, harness, perturbed_table,
+                   term)
 from nzeck.harness import (ALL_CHECKS, MAX_RECORDED_FAILURES, CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -69,12 +71,6 @@ def test_perturbation_breaks_block_counts():
     assert check_block_counts(n_range=(3,), depth=12, staircase_max=3).passed
 
 
-def test_mutation_sanity_check():
-    report = check_mutation_sanity()
-    assert report.passed
-    assert report.cases_run >= 1
-
-
 def test_block_counts_records_an_oversized_block_as_failures():
     # F(3, 9) + 10**8 is above the length cap: blocks from index 9 on are
     # refused, and each refusal is a failed case, not an aborted check
@@ -120,12 +116,6 @@ def test_report_json_big_int_above_digit_limit():
     assert payload["parameters"]["b"] == "1" + "0" * 5000
 
 
-def test_perturbed_table_rejects_backward_index():
-    with pytest.raises(ValueError):
-        with perturbed_table(3, 0):
-            pass
-
-
 def test_prefix_check_names_the_block_that_differs(monkeypatch):
     # flip the last letter of B(7) (n = 3): the counts still agree, but every
     # length whose decomposition uses index 7 must fail its prefix case
@@ -163,8 +153,10 @@ def test_prefix_check_handles_orders_above_one_byte():
 
 
 def test_reports_carry_elapsed_time():
+    started = time.perf_counter()
     report = check_concat_prefixes(n_range=(3,), depth=10)
-    assert report.elapsed_s > 0
+    wall = time.perf_counter() - started
+    assert 0.0 < report.elapsed_s <= wall
     assert report.to_json_dict()["elapsed_s"] == report.elapsed_s
     assert f"in {report.elapsed_s:.2f} s" in report.summary()
     # timing is not part of a report's identity
@@ -207,14 +199,19 @@ def test_concat_prefixes_records_a_failed_set_up_as_one_case():
     assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
 
 
-def test_concat_prefixes_refuses_a_prefix_above_the_length_cap(monkeypatch):
-    # n = 3, depth 12: the prefix needs F(12) + F(10) = 41 + 19 = 60 letters
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 60)
-    assert check_concat_prefixes(n_range=(3,), depth=12).passed
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 59)
-    report = check_concat_prefixes(n_range=(3,), depth=12)
+def test_word_prefix_refuses_a_length_above_the_cap():
+    assert len(list(harness._word_prefix(3, 60, length_cap=60))) == 60
+    with pytest.raises(BlockTooLarge, match="^prefix of 60 letters exceeds the length cap 59$"):
+        harness._word_prefix(3, 60, length_cap=59)
+
+
+def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case():
+    report = check_decomposition_prefix(n_range=(3,), length_max=DEFAULT_LENGTH_CAP + 1)
     assert (report.cases_run, report.failures_total) == (1, 1)
-    assert report.failures[0][2] == "BlockTooLarge: prefix of 60 letters exceeds the length cap 59"
+    assert report.failures[0] == (
+        {"n": 3, "sub": "set-up"}, "no exception",
+        f"BlockTooLarge: prefix of {DEFAULT_LENGTH_CAP + 1} letters exceeds the length cap "
+        f"{DEFAULT_LENGTH_CAP}")
 
 
 def test_fixed_summand_fails_each_rows_case_when_set_up_raises(monkeypatch):
@@ -229,16 +226,11 @@ def test_fixed_summand_fails_each_rows_case_when_set_up_raises(monkeypatch):
                     for j in range(3, 9)]
 
 
-def test_fixed_summand_refuses_rows_above_the_scan_limit(monkeypatch):
-    # the rows run to F(3, 9) = 13, one streamed letter per member
-    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
-    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
-    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 13)
-    assert check_fixed_summand(**sweep).passed
-    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 12)
-    report = check_fixed_summand(**sweep)
-    assert [(inputs["j"], actual) for inputs, _, actual in report.failures] == [
-        (j, "ScanLimitExceeded: 13 rows exceed the scan limit 12") for j in range(3, 9)]
+def test_row_tops_refuse_rows_above_the_scan_limit():
+    # the rows check reads F(3, 9) = 13 rows, one streamed letter per member
+    assert len(harness._row_tops(3, 4, 13, scan_limit=13)) == 13
+    with pytest.raises(ScanLimitExceeded, match="^13 rows exceed the scan limit 12$"):
+        harness._row_tops(3, 4, 13, scan_limit=12)
 
 
 def test_fixed_summand_fails_each_any_summand_case_when_the_walk_is_over_the_limit(monkeypatch):
