@@ -31,8 +31,8 @@ from .fixed_summand import (_any_summand_flags, any_summand_members, largest_sum
                             smallest_summand_members, smallest_summand_scan,
                             telescoping_identity)
 from .sequence import get_table, perturbed_table
-from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, _counts_over, block, char_at,
-                    count_block, stream)
+from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at, count_block,
+                    count_prefix, stream)
 
 MAX_RECORDED_FAILURES = 5
 
@@ -225,13 +225,14 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     for n in n_range:
         table = get_table(n)
         for m in range(1, depth + 1):
+            # the block before F(m): a block refused by size never grows the table to m
             report.guarded({"n": n, "m": m, "sub": "length"},
-                           lambda: (table.term(m), len(block(n, m))))
+                           lambda: (len(block(n, m)), table.term(m))[::-1])
             report.guarded({"n": n, "m": m, "sub": "counts"},
                            lambda: (list(map(block(n, m).count, range(1, n + 1))),
                                     count_block(n, m)))
         for m in range(1, staircase_max + 1):
-            indices = [n + (n - 1) * t for t in range(m, -1, -1)]
+            indices = range(n + (n - 1) * m, n - 1, 1 - n)
             report.guarded({"n": n, "staircase_m": m},
                            lambda: _staircase_pair(n, indices))
     return report
@@ -245,7 +246,7 @@ def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> I
     return islice(stream(n), length)
 
 
-def _staircase_pair(n: int, indices: list[int]) -> tuple[list[int], list[int]]:
+def _staircase_pair(n: int, indices: range) -> tuple[list[int], list[int]]:
     """The word's prefix of length sum F(c) over `indices`, by the table,
     and the blocks at `indices` concatenated. The blocks are built first,
     so a length above the cap is refused before the prefix is drawn."""
@@ -259,14 +260,17 @@ def _staircase_pair(n: int, indices: list[int]) -> tuple[list[int], list[int]]:
 @_timed
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
                                length_max: int = 10_000) -> CheckReport:
-    """Decomposition-ordered block concatenation reproduces every prefix, and
-    the closed-form letter counts match a running scan.
+    """The prefix law, at every length L up to `length_max`: the blocks at
+    L's decomposition indices, largest first, concatenate to the word's
+    first L letters, whose letter counts are `count_prefix(n, L)` and whose
+    last letter is `char_at(n, L)`; the word is the stream.
 
-    Each length is decomposed once, and both sub-cases use those indices:
-    the closed-form counts (what `count_prefix` returns) and the block
-    concatenation. Letters are held as the characters chr(1)..chr(n), so
-    each prefix comparison is one memory compare of all `length` letters.
-    A `length_max` above the length cap is one failed set-up case per order.
+    The indices come from the add-one walk, which unique-decomposition
+    checks against greedy `decompose`, so the concatenation does not rest
+    on the `decompose` that `count_prefix` and `char_at` call. Letters are
+    held as chr(1)..chr(n), so each prefix comparison is one memory compare
+    of L letters. Each case catches its own exceptions; a `length_max`
+    above the length cap is one failed set-up case per order.
     """
     n_range = list(n_range)
     report = CheckReport("decomposition-prefix",
@@ -280,31 +284,25 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
             continue
         blocks: dict[int, str] = {}
         tally = [0] * n
-        for length in range(1, length_max + 1):
-            tally[ord(prefix[length - 1]) - 1] += 1
-            try:
-                indices = decompose(n, length)
-            except Exception as exc:
-                for sub in ("counts", "prefix"):
-                    report.cases_run += 1
-                    report.fail({"n": n, "length": length, "sub": sub}, "no exception",
-                                f"{type(exc).__name__}: {exc}")
-                continue
+        for length, rep in zip(range(1, length_max + 1), successive_decompositions(n)):
+            letter = ord(prefix[length - 1])
+            tally[letter - 1] += 1
             report.guarded({"n": n, "length": length, "sub": "counts"},
-                           lambda: (tally[:], _counts_over(n, indices)))
+                           lambda: (tally[:], count_prefix(n, length)))
             report.guarded({"n": n, "length": length, "sub": "prefix"},
-                           lambda: (length, _matched_prefix(n, prefix, blocks, indices)))
+                           lambda: ((length, letter),
+                                    (_matched_prefix(n, prefix, blocks, rep), char_at(n, length))))
     return report
 
 
 def _matched_prefix(n: int, prefix: str, blocks: dict[int, str],
                     indices: list[int]) -> int | str:
-    """Length of the concatenation of the blocks at `indices`, largest
-    first, if it is a prefix of the word (`prefix`); otherwise a message
-    naming the first block whose letters differ from the word. Blocks are
-    cached in `blocks`, in the letter encoding of `prefix`."""
+    """Length of the concatenation of the blocks at `indices` (descending)
+    if it is a prefix of the word (`prefix`); otherwise a message naming
+    the first block whose letters differ from the word. Blocks are cached
+    in `blocks`, in the letter encoding of `prefix`."""
     offset = 0
-    for c in reversed(indices):
+    for c in indices:
         piece = blocks.get(c)
         if piece is None:
             piece = blocks[c] = "".join(map(chr, block(n, c)))

@@ -6,12 +6,13 @@ import threading
 import time
 from collections import Counter
 from contextlib import nullcontext
+from itertools import islice
 
 import pytest
 
 from nzeck import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, BlockTooLarge, IndexNotFound,
-                   ScanLimitExceeded, block, decompose, fixed_summand, harness, perturbed_table,
-                   term)
+                   ScanLimitExceeded, SequenceTable, block, decompose, fixed_summand, harness,
+                   perturbed_table, sequence, stream, term, words)
 from nzeck.harness import (ALL_CHECKS, MAX_RECORDED_FAILURES, CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -84,6 +85,24 @@ def test_block_counts_records_an_oversized_block_as_failures():
     assert check_mutation_sanity(n=3, m=9, delta=10**8).passed
 
 
+def test_block_counts_grows_the_table_only_to_the_blocks_it_builds(monkeypatch):
+    # a block refused by its size must not grow the table to its index
+    fresh = SequenceTable(3)
+    monkeypatch.setitem(sequence._TABLES, 3, fresh)
+    monkeypatch.setattr(harness, "block", lambda n, m: block(n, m, length_cap=10**4))
+    report = check_block_counts(n_range=(3,), depth=3000, staircase_max=1)
+    assert not report.passed
+    # block reads F(m) only below m = 45, where (m - 3) // 3 reaches the 14
+    # bits of 10**4 and the block is refused by bit length alone
+    assert fresh.hi == 44
+
+
+def test_block_counts_staircase_costs_no_index_list_per_refused_block():
+    report = check_block_counts(n_range=(4,), depth=1, staircase_max=20_000)
+    assert report.cases_run == 20_002
+    assert report.elapsed_s < 5.0
+
+
 def test_failures_capped_but_counted():
     with perturbed_table(3, 5):
         broken = check_decomposition_prefix(n_range=(3,), length_max=300)
@@ -131,8 +150,11 @@ def test_prefix_check_names_the_block_that_differs(monkeypatch):
     assert report.failures_total == len(uses_7)
     inputs, expected, actual = report.failures[0]
     assert inputs == {"n": 3, "length": uses_7[0], "sub": "prefix"}
-    assert expected == uses_7[0]
-    assert actual.startswith("block 7 differs from the word")
+    # (length, its letter in the word) against (matched length, char_at)
+    letter = list(islice(stream(3), uses_7[0]))[-1]
+    assert expected == (uses_7[0], letter)
+    assert actual[0].startswith("block 7 differs from the word")
+    assert actual[1] == letter
 
 
 def test_prefix_check_counts_both_cases_when_decompose_fails(monkeypatch):
@@ -140,12 +162,44 @@ def test_prefix_check_counts_both_cases_when_decompose_fails(monkeypatch):
         if value == 5:
             raise IndexNotFound("injected")
         return decompose(n, value)
-    monkeypatch.setattr(harness, "decompose", failing)
+    # count_prefix and char_at both decompose the length
+    monkeypatch.setattr(words, "decompose", failing)
     report = check_decomposition_prefix(n_range=(3,), length_max=10)
     assert report.cases_run == 20
     assert report.failures_total == 2
     assert [f[0]["sub"] for f in report.failures] == ["counts", "prefix"]
     assert all(f[2] == "IndexNotFound: injected" for f in report.failures)
+
+
+def test_prefix_check_catches_a_count_prefix_wrong_at_some_lengths(monkeypatch):
+    def wrong(n, length):
+        counts = words.count_prefix(n, length)
+        if length % 11 == 5:
+            counts[0] += 1
+        return counts
+    monkeypatch.setattr(harness, "count_prefix", wrong)
+    report = check_decomposition_prefix(n_range=(3,), length_max=300)
+    assert report.failures_total == len(range(5, 301, 11)) == 27
+    assert {inputs["sub"] for inputs, _, _ in report.failures} == {"counts"}
+
+
+def test_prefix_check_catches_a_char_at_wrong_at_some_positions(monkeypatch):
+    def wrong(n, pos):
+        letter = words.char_at(n, pos)
+        return letter % n + 1 if pos % 7 == 3 else letter
+    monkeypatch.setattr(harness, "char_at", wrong)
+    report = check_decomposition_prefix(n_range=(3,), length_max=300)
+    assert report.failures_total == len(range(3, 301, 7)) == 43
+    assert {inputs["sub"] for inputs, _, _ in report.failures} == {"prefix"}
+
+
+def test_harness_reaches_words_and_decomposition_by_public_names():
+    # closed forms are checked through the functions users call; the
+    # harness's own oracles, and private ones such as fixed_summand's
+    # any-summand walk, are allowed
+    private = [name for name, obj in vars(harness).items() if name.startswith("_")
+               and getattr(obj, "__module__", None) in ("nzeck.words", "nzeck.decomposition")]
+    assert private == []
 
 
 def test_prefix_check_handles_orders_above_one_byte():
