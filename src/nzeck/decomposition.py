@@ -6,11 +6,12 @@ representation is unique. Three algorithms compute it, each checked against
 the others by the harness:
 
 * `decompose`, the greedy rule: take the largest term not exceeding the
-  remainder, bisecting the sequence table.
+  remainder, bisecting the sequence table once for the largest summand and
+  stepping down from there for the rest.
 * `successive_decompositions`, the add-one rule: walk 1, 2, 3, ... applying
   F(n, c) + 1 = F(n, c + 1) at the smallest index and carrying
   F(n, a) + F(n, a + n - 1) = F(n, a + n) upward. It touches no table, so it
-  stays independent of the greedy bisection and of the letter-driven
+  stays independent of the greedy table search and of the letter-driven
   generators that the scans built on it check.
 * `brute_force_decompositions`, exhaustive search over every gap-n index
   subset: the uniqueness oracle.
@@ -31,10 +32,14 @@ from .sequence import get_table, require_int, require_order
 def decompose(n: int, value: int) -> list[int]:
     """Ascending index list of the unique gap-n decomposition of value >= 0.
 
-    Greedy: grow the table once until its last term exceeds value, then
-    repeatedly bisect it for the largest term <= the remainder, searching
-    only indices at least n below the previous pick. That bound shrinks by
-    n per summand whatever the table holds, so a corrupted table yields a
+    Greedy: grow the table once until its last term exceeds value and
+    bisect it once for the largest term <= value. Each later summand is
+    found by stepping down from n below the previous pick to the first term
+    <= the remainder; the greedy bound remainder < F(c - n + 1) puts it a
+    few indices down on typical values. One comparison per index between
+    the largest and smallest summands bounds the cost, which is linear in
+    the bit length of value and never in the table's length. The index
+    only falls, whatever the table holds, so a corrupted table yields a
     wrong answer or IndexNotFound, never a hang.
     """
     table = get_table(n)
@@ -44,13 +49,16 @@ def decompose(n: int, value: int) -> list[int]:
     indices: list[int] = []
     remainder = value
     hi = len(fwd)
+    c = bisect_right(fwd, remainder, n, hi) - 1
     while remainder > 0:
-        c = bisect_right(fwd, remainder, n, hi) - 1
+        while c >= n and fwd[c] > remainder:
+            c -= 1
         if c < n:
             raise IndexNotFound(f"no index >= {n} below {hi} fits the remainder {remainder}")
         indices.append(c)
         remainder -= fwd[c]
         hi = c - n + 1
+        c -= n
     indices.reverse()
     return indices
 

@@ -390,9 +390,11 @@ def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -
 
 def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[list, list]:
     """Row range j, and the rows whose member's largest index is k + j, by
-    `tops`, each member's largest index (or the set-up's exception, raised)."""
+    `tops`, each member's largest index (or the set-up's exception, raised
+    with its traceback reset, so that one exception raised for every case
+    does not keep every raise's frames)."""
     if isinstance(tops, Exception):
-        raise tops
+        raise tops.with_traceback(None)
     lo, hi = largest_summand_rows(n, j)
     return list(range(lo, hi + 1)), [r for r, top in enumerate(tops, 1) if top == k + j]
 
@@ -400,9 +402,10 @@ def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[lis
 def _any_pair(n: int, k: int, bound: int,
               flags: dict[int, bytearray] | Exception) -> tuple[list[int], list[int]]:
     """The scanned members for k, by `flags` (or the walk's exception,
-    raised before any member is generated), and the generated members."""
+    raised as in `_rows_pair` before any member is generated), and the
+    generated members."""
     if isinstance(flags, Exception):
-        raise flags
+        raise flags.with_traceback(None)
     return list(compress(range(bound + 1), flags[k])), any_summand_members(n, k, bound)
 
 

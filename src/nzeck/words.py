@@ -125,47 +125,33 @@ def count_block(n: int, m: int) -> list[int]:
 
     Entry i-1 counts letter a_i: F(n, m-(n+i-1)) for i < n and
     F(n, m-(n-1)) for i = n. Needs the backward extension of the sequence
-    when m is small. Does not build the block.
+    when m is small. Reads just those n terms, so the table grows only
+    through F(m-n+1). Does not build the block.
     """
     require_order(n)
     require_int("block index", m, 1)
-    return _counts_over(n, [m])
+    table = get_table(n)
+    return [table.term(m - n - i) for i in range(n - 1)] + [table.term(m - n + 1)]
 
 
 def count_prefix(n: int, length: int) -> list[int]:
-    """Per-letter counts of the prefix of the given length, by the closed
-    form summed over the decomposition indices of `length`."""
+    """Per-letter counts of the prefix of the given length: the closed form
+    of `count_block` summed over the decomposition indices of `length`.
+
+    Let T_s be the sum of F(c - s) over those indices c, so T_0 = length.
+    F(m) = F(m-1) + F(m-n) at every integer m gives T_(s+n) = T_s - T_(s+1),
+    so letter a_i counts T_(i-1) - T_i for i < n and a_n counts T_(n-1).
+    That is n - 1 sums of forward terms alone (c - s >= 1 since c >= n),
+    read from the table `decompose` grew. Each runs in ascending order, so
+    its running total stays below the next term up and each big-int
+    addition costs about the size of the term it adds.
+    """
     require_order(n)
     require_int("prefix length", length, 0)
-    return _counts_over(n, decompose(n, length))
-
-
-def _counts_over(n: int, indices: list[int]) -> list[int]:
-    """Per-letter counts of the blocks at `indices` (ascending) together:
-    the closed form of `count_block` summed over them.
-
-    The terms of index c are F(c-n+1) (letter a_n) and F(c-n), ...,
-    F(c-2n+2) (letters a_1, ..., a_(n-1)). They are read straight off the
-    forward list when c >= 2n - 1 and through `term`, which reaches the
-    backward extension, otherwise. The table grows only through the
-    largest index read, F(indices[-1]-n+1).
-    """
-    table = get_table(n)
-    counts = [0] * n
-    if not indices:
-        return counts
-    fwd = table.forward_through(indices[-1] - n + 1)
-    last = n - 1
-    for c in indices:
-        if c >= 2 * n - 1:
-            for i in range(last):
-                counts[i] += fwd[c - n - i]
-            counts[last] += fwd[c - last]
-        else:
-            for i in range(last):
-                counts[i] += table.term(c - n - i)
-            counts[last] += table.term(c - last)
-    return counts
+    indices = decompose(n, length)
+    fwd = get_table(n).forward_past(length)
+    sums = [length] + [sum([fwd[c - s] for c in indices]) for s in range(1, n)]
+    return [sums[i] - sums[i + 1] for i in range(n - 1)] + [sums[-1]]
 
 
 def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:

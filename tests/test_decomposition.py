@@ -1,11 +1,14 @@
 """Greedy decomposition, recompose and validate, against the exhaustive oracle."""
 
+from bisect import bisect_right
 from itertools import combinations
+from math import log2
 
 import pytest
 
-from nzeck import (InvalidDecomposition, brute_force_decompositions,
-                   decompose, get_table, recompose, term, validate)
+from nzeck import (IndexNotFound, InvalidDecomposition, SequenceTable,
+                   brute_force_decompositions, decompose, decomposition, get_table,
+                   perturbed_table, recompose, sequence, term, validate)
 
 
 @pytest.mark.parametrize("n,value,expected", [
@@ -157,3 +160,44 @@ def test_huge_values_match_independent_greedy(n, digits, offset):
     # 10**5000 is past the 4300-digit int<->str limit; it is never printed
     value = 10**digits + offset
     assert decompose(n, value) == _uncapped_greedy(n, value)
+
+
+class _CountingList(list):
+    """A forward list that counts its reads; bisect_right reads through
+    __getitem__ too."""
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+def test_decompose_bisects_once_then_reads_linearly_in_the_top_index(monkeypatch):
+    table = SequenceTable(3)
+    table.forward_through(5000)
+    fwd = table._fwd = _CountingList(table._fwd)
+    monkeypatch.setitem(sequence._TABLES, 3, table)
+    bisects = []
+
+    def counted_bisect(*args):
+        bisects.append(args[1])
+        return bisect_right(*args)
+
+    monkeypatch.setattr(decomposition, "bisect_right", counted_bisect)
+    assert decompose(3, 10) == [3, 8]
+    assert fwd.reads <= 30
+    value = term(3, 3000) + 1
+    fwd.reads = 0
+    # the step-down walks from 2997 to 3, never the 5000-entry table
+    assert decompose(3, value) == [3, 3000]
+    assert fwd.reads <= 3000 + 4 * log2(5000)
+    assert bisects == [10, value]
+
+
+# F(3, 3) stored as 2 leaves no index >= 3 holding 1: once for the first
+# summand, of value 1, and once after F(3, 5) = 4 is taken from 5
+@pytest.mark.parametrize("value,hi", [(1, 4), (5, 3)])
+def test_decompose_names_its_search_bound_on_a_corrupted_table(value, hi):
+    with perturbed_table(3, 3):
+        with pytest.raises(IndexNotFound, match=f"^no index >= 3 below {hi} fits the remainder 1$"):
+            decompose(3, value)

@@ -4,6 +4,7 @@ import json
 import os
 import threading
 import time
+import traceback
 from collections import Counter
 from contextlib import nullcontext
 from itertools import islice
@@ -301,6 +302,22 @@ def test_fixed_summand_fails_each_any_summand_case_when_the_walk_is_over_the_lim
                            f"the limit {DEFAULT_SCAN_LIMIT}")
         for k in (3, 4)]
     assert members_calls == []
+
+
+# a set-up's exception is raised once per case: each raise must start a
+# fresh traceback, not keep the frames of every earlier one
+@pytest.mark.parametrize("pair", [lambda exc: harness._any_pair(3, 3, 10, exc),
+                                  lambda exc: harness._rows_pair(3, 4, 3, exc)],
+                         ids=["any", "rows"])
+def test_set_up_exception_traceback_does_not_grow_per_case(pair):
+    exc = ScanLimitExceeded("set-up refused")
+    depths = []
+    for _ in range(3):
+        with pytest.raises(ScanLimitExceeded) as raised:
+            pair(exc)
+        assert raised.value is exc
+        depths.append(len(list(traceback.walk_tb(exc.__traceback__))))
+    assert depths[0] == depths[1] == depths[2]
 
 
 def test_any_summand_scan_reads_no_table():

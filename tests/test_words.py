@@ -9,7 +9,6 @@ from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
                    SequenceTable, block, char_at, count_block, count_prefix,
                    count_prefix_scan, decompose, format_letters, get_table,
                    sequence, stream, stream_chunks, term)
-from nzeck.words import _counts_over
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -205,12 +204,32 @@ def test_count_prefix_examples(n, length, expected):
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7, 8])
-def test_counts_over_decomposition_matches_scan(n):
-    # lengths to 300 reach indices below 2n - 1, whose terms are backward
+def test_count_prefix_matches_scan_at_small_indices(n, monkeypatch):
+    # lengths to 300 reach indices below 2n - 1, where count_block reads
+    # backward terms; count_prefix's shifted sums read no backward term and
+    # no forward one beyond those decompose grows
     for length in range(301):
-        expected = count_prefix_scan(n, length)
-        assert _counts_over(n, decompose(n, length)) == expected, length
-        assert count_prefix(n, length) == expected, length
+        alone = SequenceTable(n)
+        monkeypatch.setitem(sequence._TABLES, n, alone)
+        decompose(n, length)
+        fresh = SequenceTable(n)
+        monkeypatch.setitem(sequence._TABLES, n, fresh)
+        assert count_prefix(n, length) == count_prefix_scan(n, length), length
+        assert (fresh.lo, fresh.hi) == (1, alone.hi), length
+
+
+# the scans stop at 10**4 letters; above that the shifted sums are held to
+# count_block summed over the decomposition, which reads each term directly
+@pytest.mark.parametrize("n", range(2, 9))
+def test_count_prefix_sums_count_block_over_big_decompositions(n, monkeypatch):
+    monkeypatch.setitem(sequence._TABLES, n, SequenceTable(n))
+    rng = random.Random(n)
+    for digits in (10, rng.randrange(11, 3000), 3000):
+        length = rng.randrange(10 ** (digits - 1), 10 ** digits)
+        counts = count_prefix(n, length)
+        blocks = [count_block(n, c) for c in decompose(n, length)]
+        assert counts == [sum(column) for column in zip(*blocks)], digits
+        assert sum(counts) == length, digits
 
 
 @pytest.mark.parametrize("n,length,expected", [
