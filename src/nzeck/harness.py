@@ -3,9 +3,9 @@
 Each check runs a deterministic sweep, comparing a closed form or generator
 against an independent oracle (exhaustive enumeration, streaming scan, or
 direct string comparison), and returns a CheckReport with pass/fail and the
-first few counterexamples. Exceptions inside a case are recorded as failures
-rather than aborting the sweep, so a corrupted table shows up as a red
-report instead of a crash.
+first few counterexamples. An exception inside a case, or inside the set-up
+that some cases share, is one failed case, not an aborted sweep, so a
+corrupted table shows up as a red report instead of a crash.
 
 Checks accept n = 2 (classical Fibonacci / golden string); those results are
 flagged as empirical in the report parameters since the closed forms are
@@ -22,7 +22,7 @@ from decimal import Decimal
 from functools import wraps
 from itertools import compress, islice
 from time import perf_counter
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, TypeVar
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
@@ -35,6 +35,7 @@ from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at, coun
                     count_prefix, stream)
 
 MAX_RECORDED_FAILURES = 5
+T = TypeVar("T")
 
 
 @dataclass
@@ -78,6 +79,17 @@ class CheckReport:
             return
         if expected != actual:
             self.fail(inputs, expected, actual)
+
+    def set_up(self, inputs: dict, body: Callable[[], T]) -> T | None:
+        """Return body(), the value some cases need; if it raises, record
+        one failed case, as `guarded` does, and return None, so the caller
+        skips the cases that needed the value."""
+        try:
+            return body()
+        except Exception as exc:
+            self.cases_run += 1
+            self.fail(inputs, "no exception", f"{type(exc).__name__}: {exc}")
+            return None
 
     def summary(self) -> str:
         status = "PASS" if self.passed else "FAIL"
@@ -183,14 +195,13 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
     report = CheckReport("concat-prefixes", _base_params(n_range, depth=depth))
     for n in n_range:
         table = get_table(n)
-        # set-up, blocks first; an exception here is one failed case
-        try:
-            blocks = {m: block(n, m) for m in range(1, depth + 1)}
-            prefix = list(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))
-        except Exception as exc:
-            report.cases_run += 1
-            report.fail({"n": n, "sub": "set-up"}, "no exception", f"{type(exc).__name__}: {exc}")
+        # blocks first, so an oversized one is refused before F(depth) is read
+        made = report.set_up({"n": n, "sub": "set-up"}, lambda: (
+            {m: block(n, m) for m in range(1, depth + 1)},
+            list(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))))
+        if made is None:
             continue
+        blocks, prefix = made
         # pair concatenation: B(j) . B(i) starts the word, n <= i <= j-(n-1)
         for j in range(2 * n - 1, depth + 1):
             for i in range(n, j - (n - 1) + 1):
@@ -225,11 +236,15 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     for n in n_range:
         table = get_table(n)
         for m in range(1, depth + 1):
-            # the block before F(m): a block refused by size never grows the table to m
+            # the block before F(m), so a huge m is refused before the table
+            # grows to it; the first refused block ends the sweep
+            letters = report.set_up({"n": n, "m": m, "sub": "set-up"}, lambda: block(n, m))
+            if letters is None:
+                break
             report.guarded({"n": n, "m": m, "sub": "length"},
-                           lambda: (len(block(n, m)), table.term(m))[::-1])
+                           lambda: (table.term(m), len(letters)))
             report.guarded({"n": n, "m": m, "sub": "counts"},
-                           lambda: (list(map(block(n, m).count, range(1, n + 1))),
+                           lambda: (list(map(letters.count, range(1, n + 1))),
                                     count_block(n, m)))
         for m in range(1, staircase_max + 1):
             indices = range(n + (n - 1) * m, n - 1, 1 - n)
@@ -246,15 +261,17 @@ def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> I
     return islice(stream(n), length)
 
 
-def _staircase_pair(n: int, indices: range) -> tuple[list[int], list[int]]:
+def _staircase_pair(n: int, indices: range,
+                    length_cap: int = DEFAULT_LENGTH_CAP) -> tuple[list[int], list[int]]:
     """The word's prefix of length sum F(c) over `indices`, by the table,
-    and the blocks at `indices` concatenated. The blocks are built first,
-    so a length above the cap is refused before the prefix is drawn."""
-    stair: list[int] = []
-    for c in indices:
-        stair += block(n, c)
-    length = sum(map(get_table(n).term, indices))
-    return list(islice(stream(n), length)), stair
+    and the blocks at `indices` concatenated. The top block is built
+    first, so a top index above the cap is refused before the table grows
+    to it, and a staircase above the cap before the rest is built."""
+    stair = block(n, indices[0], length_cap)
+    prefix = _word_prefix(n, sum(map(get_table(n).term, indices)), length_cap)
+    for c in indices[1:]:
+        stair += block(n, c, length_cap)
+    return list(prefix), stair
 
 
 @_timed
@@ -276,11 +293,9 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        try:
-            prefix = "".join(map(chr, _word_prefix(n, length_max)))
-        except Exception as exc:
-            report.cases_run += 1
-            report.fail({"n": n, "sub": "set-up"}, "no exception", f"{type(exc).__name__}: {exc}")
+        prefix = report.set_up({"n": n, "sub": "set-up"},
+                               lambda: "".join(map(chr, _word_prefix(n, length_max))))
+        if prefix is None:
             continue
         blocks: dict[int, str] = {}
         tally = [0] * n
@@ -355,29 +370,38 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         for k in range(n, n + min(max_k_offset, 4) + 1):
             report.guarded({"n": n, "k": k, "bound": q_bound, "sub": "smallest-summand"},
                            lambda n=n, k=k: _q_pair(n, k, q_bound))
-        # generator vs oracle, any-summand family: one add-one walk scans
-        # for every k, and an exception there fails each k's case
+        # generator vs oracle, any-summand family: one add-one walk for every k
         ks = range(n, n + max_k_offset + 1)
-        try:
-            flags = _any_summand_flags(n, ks, bound)
-        except Exception as exc:
-            flags = exc
-        for k in ks:
-            report.guarded({"n": n, "k": k, "bound": bound, "sub": "any-summand"},
-                           lambda n=n, k=k: _any_pair(n, k, bound, flags))
+        flags = report.set_up({"n": n, "bound": bound, "sub": "any-summand set-up"},
+                              lambda: _any_summand_walk(n, ks, bound))
+        if flags is not None:
+            for k in ks:
+                report.guarded({"n": n, "k": k, "bound": bound, "sub": "any-summand"},
+                               lambda k=k: (list(compress(range(bound + 1), flags[k])),
+                                            any_summand_members(n, k, bound)))
         del flags  # hold one order's flags at a time
         # row-range classification against per-element largest summands, in
         # order 3's own cases, so a sweep's report is its orders' in turn
         if n == 3:
             k = 4
-            try:
-                tops = _row_tops(n, k, table.term(9))
-            except Exception as exc:
-                tops = exc
-            for j in range(3, 9):
-                report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
-                               lambda j=j: _rows_pair(n, k, j, tops))
+            tops = report.set_up({"n": n, "k": k, "sub": "rows set-up"},
+                                 lambda: _row_tops(n, k, table.term(9)))
+            if tops is not None:
+                for j in range(3, 9):
+                    report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
+                                   lambda j=j: _rows_pair(n, k, j, tops))
     return report
+
+
+def _any_summand_walk(n: int, ks: range, bound: int,
+                      scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict[int, bytearray]:
+    """`_any_summand_flags` for every k in `ks`; more than `scan_limit`
+    flags in all, one per value to `bound` for each k, are refused before
+    any flag row is allocated."""
+    if len(ks) * bound > scan_limit:
+        raise ScanLimitExceeded(f"{len(ks)} x {bound} any-summand flags exceed "
+                                f"the scan limit {scan_limit}")
+    return _any_summand_flags(n, ks, bound, scan_limit)
 
 
 def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
@@ -388,25 +412,11 @@ def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -
     return [decompose(n, q)[-1] for q in smallest_summand_members(n, k, rows)]
 
 
-def _rows_pair(n: int, k: int, j: int, tops: list[int] | Exception) -> tuple[list, list]:
+def _rows_pair(n: int, k: int, j: int, tops: list[int]) -> tuple[list, list]:
     """Row range j, and the rows whose member's largest index is k + j, by
-    `tops`, each member's largest index (or the set-up's exception, raised
-    with its traceback reset, so that one exception raised for every case
-    does not keep every raise's frames)."""
-    if isinstance(tops, Exception):
-        raise tops.with_traceback(None)
+    `tops`, each member's largest index."""
     lo, hi = largest_summand_rows(n, j)
     return list(range(lo, hi + 1)), [r for r, top in enumerate(tops, 1) if top == k + j]
-
-
-def _any_pair(n: int, k: int, bound: int,
-              flags: dict[int, bytearray] | Exception) -> tuple[list[int], list[int]]:
-    """The scanned members for k, by `flags` (or the walk's exception,
-    raised as in `_rows_pair` before any member is generated), and the
-    generated members."""
-    if isinstance(flags, Exception):
-        raise flags.with_traceback(None)
-    return list(compress(range(bound + 1), flags[k])), any_summand_members(n, k, bound)
 
 
 def _q_pair(n: int, k: int, bound: int) -> tuple[list[int], list[int]]:

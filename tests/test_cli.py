@@ -210,6 +210,17 @@ def test_verify_fixed_summand_flags(capsys):
     assert (params["n_range"], params["bound"], params["max_k_offset"]) == ([3], 500, 2)
 
 
+def test_verify_refuses_a_max_k_offset_above_the_scan_limit(capsys):
+    # 1001 flag rows of 10**5 values are above the 10**7 scan limit
+    code, out, _ = run(capsys, "verify", "--checks", "fixed-summand", "--orders", "3",
+                       "--max-k-offset", "1000", "--format", "json")
+    assert code == 1
+    (report,) = json.loads(out)
+    assert report["failures_total"] == 1
+    assert report["failures"][0]["actual"] == (
+        "ScanLimitExceeded: 1001 x 100000 any-summand flags exceed the scan limit 10000000")
+
+
 def test_verify_mutation_sanity_ignores_sweep_flags(capsys):
     code, out, _ = run(capsys, "verify", "--orders", "3", "--checks", "mutation-sanity",
                        "--format", "json")

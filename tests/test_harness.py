@@ -1,10 +1,11 @@
 """Harness checks: pass on healthy tables, fail on corrupted ones."""
 
+import ast
+import inspect
 import json
 import os
 import threading
 import time
-import traceback
 from collections import Counter
 from contextlib import nullcontext
 from itertools import islice
@@ -41,6 +42,22 @@ def test_all_checks_pass_small():
         assert report.cases_run >= 1
 
 
+def test_set_up_returns_falsy_values_unchanged_and_records_no_case():
+    report = CheckReport("demo", {})
+    for value in ([], "", 0, {}):
+        assert report.set_up({"sub": "set-up"}, lambda: value) is value
+    assert (report.cases_run, report.failures_total) == (0, 0)
+
+
+def test_set_up_records_an_exception_as_one_failed_case():
+    def refused():
+        raise ScanLimitExceeded("too big")
+    report = CheckReport("demo", {})
+    assert report.set_up({"sub": "set-up"}, refused) is None
+    assert (report.cases_run, report.failures_total) == (1, 1)
+    assert report.failures == [({"sub": "set-up"}, "no exception", "ScanLimitExceeded: too big")]
+
+
 def test_empty_sweep_is_not_green():
     report = CheckReport("empty", {})
     assert not report.passed
@@ -73,29 +90,58 @@ def test_perturbation_breaks_block_counts():
     assert check_block_counts(n_range=(3,), depth=12, staircase_max=3).passed
 
 
-def test_block_counts_records_an_oversized_block_as_failures():
-    # F(3, 9) + 10**8 is above the length cap: blocks from index 9 on are
-    # refused, and each refusal is a failed case, not an aborted check
+def test_block_counts_ends_its_block_sweep_at_an_oversized_block():
+    # F(3, 9) + 10**8 is above the length cap: block 9 is one failed set-up,
+    # its two cases and every later block are skipped, and the staircase
+    # cases still run
     with perturbed_table(3, 9, 10**8):
         broken = check_block_counts(n_range=(3,), depth=12, staircase_max=3)
-    assert broken.cases_run == 27
-    assert not broken.passed
-    inputs, expected, actual = broken.failures[0]
-    assert inputs == {"n": 3, "m": 9, "sub": "length"}
+    assert (broken.cases_run, broken.failures_total) == (2 * 8 + 1 + 3, 2)
+    assert [inputs for inputs, _, _ in broken.failures] == [
+        {"n": 3, "m": 9, "sub": "set-up"}, {"n": 3, "staircase_m": 3}]
+    _, expected, actual = broken.failures[0]
+    assert expected == "no exception"
     assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
     assert check_mutation_sanity(n=3, m=9, delta=10**8).passed
 
 
 def test_block_counts_grows_the_table_only_to_the_blocks_it_builds(monkeypatch):
-    # a block refused by its size must not grow the table to its index
+    # the sweep ends at the first block refused by its size, so the table
+    # grows only to that block's index, however deep the sweep asks to go
     fresh = SequenceTable(3)
     monkeypatch.setitem(sequence._TABLES, 3, fresh)
-    monkeypatch.setattr(harness, "block", lambda n, m: block(n, m, length_cap=10**4))
+    monkeypatch.setattr(harness, "block",
+                        lambda n, m, length_cap=10**4: block(n, m, min(length_cap, 10**4)))
     report = check_block_counts(n_range=(3,), depth=3000, staircase_max=1)
-    assert not report.passed
-    # block reads F(m) only below m = 45, where (m - 3) // 3 reaches the 14
-    # bits of 10**4 and the block is refused by bit length alone
-    assert fresh.hi == 44
+    assert term(3, 26) <= 10**4 < term(3, 27)
+    assert (report.cases_run, report.failures_total) == (2 * 26 + 1 + 1, 1)
+    assert report.failures[0][0] == {"n": 3, "m": 27, "sub": "set-up"}
+    assert fresh.hi == 27
+
+
+def test_block_counts_at_depth_a_million_runs_the_cases_of_depth_45():
+    # block 45 is the first above the length cap; the sweep ends there
+    report = check_block_counts(n_range=(3,), depth=10**6)
+    assert term(3, 44) <= DEFAULT_LENGTH_CAP < term(3, 45)
+    assert (report.cases_run, report.failures_total) == (2 * 44 + 1 + 5, 1)
+    assert report.failures[0][0] == {"n": 3, "m": 45, "sub": "set-up"}
+    assert report.elapsed_s < 10.0
+
+
+def test_staircase_pair_refuses_a_staircase_above_the_length_cap(monkeypatch):
+    indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
+    stair = [letter for c in indices for letter in block(3, c)]
+    assert harness._staircase_pair(3, indices, length_cap=23) == (stair, stair)
+    with pytest.raises(BlockTooLarge, match="^prefix of 23 letters exceeds the length cap 22$"):
+        harness._staircase_pair(3, indices, length_cap=22)
+    # the 33-step staircase at n = 2 has 24157815 letters: its top block is
+    # built, and the staircase is refused before any other block or letter
+    built = []
+    monkeypatch.setattr(harness, "block", lambda n, m, cap: built.append(m) or block(n, m, cap))
+    with pytest.raises(BlockTooLarge, match="^prefix of 24157815 letters exceeds the length cap "
+                                            f"{DEFAULT_LENGTH_CAP}$"):
+        harness._staircase_pair(2, range(2 + 33, 1, -1))
+    assert built == [35]
 
 
 def test_block_counts_staircase_costs_no_index_list_per_refused_block():
@@ -203,6 +249,23 @@ def test_harness_reaches_words_and_decomposition_by_public_names():
     assert private == []
 
 
+def test_harness_catches_exceptions_only_in_its_set_up_paths():
+    # every set-up goes through CheckReport.set_up; only guarded cases and
+    # unique-decomposition's inline round trip catch for themselves, and no
+    # exception is kept as a value to be raised again
+    tree = ast.parse(inspect.getsource(harness))
+    catching = {func.name for func in ast.walk(tree) if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func) if isinstance(node, ast.ExceptHandler)}
+    assert catching <= {"guarded", "set_up", "check_unique_decomposition"}
+    assert "set_up" in catching
+    names = {node.attr if isinstance(node, ast.Attribute) else node.id
+             for node in ast.walk(tree) if isinstance(node, (ast.Attribute, ast.Name))}
+    assert "with_traceback" not in names
+    assert not [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "isinstance"
+                and "Exception" in ast.unparse(node.args[1])]
+
+
 def test_prefix_check_handles_orders_above_one_byte():
     assert check_decomposition_prefix(n_range=(300,), length_max=400).passed
 
@@ -269,16 +332,17 @@ def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case(
         f"{DEFAULT_LENGTH_CAP}")
 
 
-def test_fixed_summand_fails_each_rows_case_when_set_up_raises(monkeypatch):
+def test_fixed_summand_records_a_failed_rows_set_up_as_one_case(monkeypatch):
     monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
     sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
     with perturbed_table(3, 9):
         report = check_fixed_summand(**sweep)
-    assert report.cases_run == check_fixed_summand(**sweep).cases_run
-    rows = [(inputs["j"], actual) for inputs, _, actual in report.failures
-            if inputs.get("sub") == "rows"]
-    assert rows == [(j, "IndexNotFound: no index >= 3 below 3 fits the remainder 1")
-                    for j in range(3, 9)]
+    # the six rows cases are skipped
+    assert report.cases_run == check_fixed_summand(**sweep).cases_run - 6 + 1
+    rows = [(inputs, actual) for inputs, _, actual in report.failures
+            if inputs["sub"].startswith("rows")]
+    assert rows == [({"n": 3, "k": 4, "sub": "rows set-up"},
+                     "IndexNotFound: no index >= 3 below 3 fits the remainder 1")]
 
 
 def test_row_tops_refuse_rows_above_the_scan_limit():
@@ -288,36 +352,57 @@ def test_row_tops_refuse_rows_above_the_scan_limit():
         harness._row_tops(3, 4, 13, scan_limit=12)
 
 
-def test_fixed_summand_fails_each_any_summand_case_when_the_walk_is_over_the_limit(monkeypatch):
-    monkeypatch.setattr(harness, "MAX_RECORDED_FAILURES", 1000)
+def test_fixed_summand_records_an_any_summand_walk_over_the_limit_as_one_case(monkeypatch):
     sweep = dict(n_range=(3,), max_k_offset=1)
     healthy = check_fixed_summand(**sweep, bound=2000)
     members_calls = []
     monkeypatch.setattr(harness, "any_summand_members",
                         lambda *args: members_calls.append(args))
     report = check_fixed_summand(**sweep, bound=DEFAULT_SCAN_LIMIT + 1)
-    assert report.cases_run == healthy.cases_run
-    assert [(inputs["sub"], inputs["k"], actual) for inputs, _, actual in report.failures] == [
-        ("any-summand", k, f"ScanLimitExceeded: scan to {DEFAULT_SCAN_LIMIT + 1} exceeds "
-                           f"the limit {DEFAULT_SCAN_LIMIT}")
-        for k in (3, 4)]
+    # the two any-summand cases are skipped
+    assert report.cases_run == healthy.cases_run - 2 + 1
+    assert report.failures == [
+        ({"n": 3, "bound": DEFAULT_SCAN_LIMIT + 1, "sub": "any-summand set-up"}, "no exception",
+         f"ScanLimitExceeded: 2 x {DEFAULT_SCAN_LIMIT + 1} any-summand flags exceed the scan "
+         f"limit {DEFAULT_SCAN_LIMIT}")]
     assert members_calls == []
 
 
-# a set-up's exception is raised once per case: each raise must start a
-# fresh traceback, not keep the frames of every earlier one
-@pytest.mark.parametrize("pair", [lambda exc: harness._any_pair(3, 3, 10, exc),
-                                  lambda exc: harness._rows_pair(3, 4, 3, exc)],
+def test_fixed_summand_refuses_a_huge_max_k_offset_as_one_case():
+    # 10**6 + 1 flag rows of 10**5 values would take about 100 GB
+    started = time.perf_counter()
+    report = check_fixed_summand(n_range=(3,), max_k_offset=10**6)
+    assert time.perf_counter() - started < 1.0
+    assert report.failures_total == 1
+    assert report.failures[0][0]["sub"] == "any-summand set-up"
+    assert report.cases_run == check_fixed_summand(n_range=(3,)).cases_run - 7 + 1
+
+
+def test_any_summand_walk_refuses_flags_above_the_scan_limit():
+    ks = range(3, 5)
+    assert harness._any_summand_walk(3, ks, 10, scan_limit=20) == \
+        fixed_summand._any_summand_flags(3, ks, 10)
+    with pytest.raises(ScanLimitExceeded,
+                       match="^2 x 10 any-summand flags exceed the scan limit 19$"):
+        harness._any_summand_walk(3, ks, 10, scan_limit=19)
+
+
+# a set-up's exception is caught once, kept only as its text, and the
+# cases that needed the set-up's value are skipped
+@pytest.mark.parametrize("name,sub,skipped", [("_any_summand_walk", "any-summand", 2),
+                                              ("_row_tops", "rows", 6)],
                          ids=["any", "rows"])
-def test_set_up_exception_traceback_does_not_grow_per_case(pair):
-    exc = ScanLimitExceeded("set-up refused")
-    depths = []
-    for _ in range(3):
-        with pytest.raises(ScanLimitExceeded) as raised:
-            pair(exc)
-        assert raised.value is exc
-        depths.append(len(list(traceback.walk_tb(exc.__traceback__))))
-    assert depths[0] == depths[1] == depths[2]
+def test_failed_set_up_is_one_case_and_keeps_no_exception(monkeypatch, name, sub, skipped):
+    sweep = dict(n_range=(3,), max_k_offset=1, bound=2000)
+    healthy = check_fixed_summand(**sweep)
+
+    def refused(*args):
+        raise ScanLimitExceeded("set-up refused")
+    monkeypatch.setattr(harness, name, refused)
+    report = check_fixed_summand(**sweep)
+    assert report.cases_run == healthy.cases_run - skipped + 1
+    assert [(inputs["sub"], expected, actual) for inputs, expected, actual in report.failures] \
+        == [(f"{sub} set-up", "no exception", "ScanLimitExceeded: set-up refused")]
 
 
 def test_any_summand_scan_reads_no_table():
