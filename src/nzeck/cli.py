@@ -88,7 +88,7 @@ def cmd_string(args) -> dict:
 def cmd_block(args) -> dict:
     cap = _cap(args.length_cap, ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
     letters = words.block(args.order, args.index, length_cap=cap)
-    return {"json": lambda: {"n": args.order, "m": args.index, "letters": letters},
+    return {"json": lambda: {"n": args.order, "m": args.index, "letters": list(letters)},
             "text": lambda: words.format_letters(letters)}
 
 

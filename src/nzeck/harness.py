@@ -19,8 +19,7 @@ import os
 import threading
 from dataclasses import dataclass, field
 from decimal import Decimal
-from functools import wraps
-from itertools import compress, islice
+from itertools import chain, compress, islice
 from time import perf_counter
 from typing import Callable, Iterable, Iterator, TypeVar
 
@@ -43,9 +42,10 @@ class CheckReport:
     """Outcome of one check: pass iff it ran at least one case and observed
     no failure, so an empty sweep is never green.
 
-    `elapsed_s` is the check's wall time, measured once around the whole
-    sweep (`run_checks` sums it over the orders it runs apart); it is left
-    out of equality so reruns of a check compare equal.
+    `elapsed_s` is the check's wall time: a check returns `report.done()`,
+    which sets it to the time since the report was made (`run_checks` sums
+    it over the orders it runs apart). It is left out of equality so reruns
+    of a check compare equal.
     """
 
     check_id: str
@@ -54,6 +54,15 @@ class CheckReport:
     failures: list = field(default_factory=list)
     failures_total: int = 0
     elapsed_s: float = field(default=0.0, compare=False)
+
+    def __post_init__(self) -> None:
+        self._started = perf_counter()
+
+    def done(self) -> CheckReport:
+        """Set `elapsed_s` to the time since this report was made; return
+        the report."""
+        self.elapsed_s = perf_counter() - self._started
+        return self
 
     @property
     def passed(self) -> bool:
@@ -113,17 +122,6 @@ class CheckReport:
         }
 
 
-def _timed(check: Callable[..., CheckReport]) -> Callable[..., CheckReport]:
-    """Wrap a check so its report carries the check's wall time."""
-    @wraps(check)
-    def run(*args, **kwargs) -> CheckReport:
-        start = perf_counter()
-        report = check(*args, **kwargs)
-        report.elapsed_s = perf_counter() - start
-        return report
-    return run
-
-
 def _jsonable(value):
     """JSON-safe copy; integers beyond exact float range become strings."""
     if isinstance(value, bool) or value is None or isinstance(value, (str, float)):
@@ -133,7 +131,7 @@ def _jsonable(value):
         return value if abs(value) < 2**53 else str(Decimal(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, range, set)):
+    if isinstance(value, (list, tuple, range, set, bytes)):
         return [_jsonable(v) for v in value]
     return str(value)
 
@@ -147,7 +145,6 @@ def _base_params(n_range: Iterable[int], **rest) -> dict:
     return params
 
 
-@_timed
 def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
                                value_max: int = 100_000) -> CheckReport:
     """Round trip for every value <= value_max and exhaustive uniqueness for
@@ -185,20 +182,16 @@ def check_unique_decomposition(n_range: Iterable[int] = (2, 3, 4, 5, 6),
                         brute_force_decompositions(n, v, table.largest_index_at_most(v)),
                     ),
                 )
-    return report
+    return report.done()
 
 
-@_timed
 def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> CheckReport:
     """Two-block and staircase concatenations are prefixes of the word."""
     n_range = list(n_range)
     report = CheckReport("concat-prefixes", _base_params(n_range, depth=depth))
     for n in n_range:
         table = get_table(n)
-        # blocks first, so an oversized one is refused before F(depth) is read
-        made = report.set_up({"n": n, "sub": "set-up"}, lambda: (
-            {m: block(n, m) for m in range(1, depth + 1)},
-            list(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))))
+        made = report.set_up({"n": n, "sub": "set-up"}, lambda: _concat_set_up(n, depth))
         if made is None:
             continue
         blocks, prefix = made
@@ -216,16 +209,34 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
         # the staircase concatenation is a prefix of a single block
         m = 2
         while n + (n - 1) * m + 2 <= depth:
-            stair: list[int] = []
-            for t in range(m, -1, -1):
-                stair += blocks[n + (n - 1) * t]
+            stair = _joined([blocks[n + (n - 1) * t] for t in range(m, -1, -1)])
             target = blocks[n + (n - 1) * m + 2]
             report.case({"n": n, "item": 4, "m": m}, stair, target[:len(stair)])
             m += 1
-    return report
+    return report.done()
 
 
-@_timed
+def _concat_set_up(n: int, depth: int) -> tuple[dict, bytes | tuple[int, ...]]:
+    """Blocks 1..depth, and the word's first F(depth) + F(depth - n + 1)
+    letters in the blocks' type. Block `depth` is built first, so an
+    oversized one is refused before the table grows past it, and a prefix
+    above the length cap before any other block is built."""
+    top = block(n, depth)
+    table = get_table(n)
+    prefix = type(top)(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))
+    blocks = {m: block(n, m) for m in range(depth - 1, 0, -1)}
+    blocks[depth] = top
+    return blocks, prefix
+
+
+def _joined(blocks: list):
+    """The blocks of one order concatenated into one value of their type, by
+    a single copy: `+=` on `bytes` would copy the whole result per block."""
+    if isinstance(blocks[0], bytes):
+        return b"".join(blocks)
+    return tuple(chain.from_iterable(blocks))
+
+
 def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
                        staircase_max: int = 5) -> CheckReport:
     """Closed-form block letter counts and lengths vs direct scans, plus the
@@ -250,7 +261,7 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
             indices = range(n + (n - 1) * m, n - 1, 1 - n)
             report.guarded({"n": n, "staircase_m": m},
                            lambda: _staircase_pair(n, indices))
-    return report
+    return report.done()
 
 
 def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Iterator[int]:
@@ -261,20 +272,17 @@ def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> I
     return islice(stream(n), length)
 
 
-def _staircase_pair(n: int, indices: range,
-                    length_cap: int = DEFAULT_LENGTH_CAP) -> tuple[list[int], list[int]]:
+def _staircase_pair(n: int, indices: range, length_cap: int = DEFAULT_LENGTH_CAP) -> tuple:
     """The word's prefix of length sum F(c) over `indices`, by the table,
-    and the blocks at `indices` concatenated. The top block is built
-    first, so a top index above the cap is refused before the table grows
-    to it, and a staircase above the cap before the rest is built."""
-    stair = block(n, indices[0], length_cap)
-    prefix = _word_prefix(n, sum(map(get_table(n).term, indices)), length_cap)
-    for c in indices[1:]:
-        stair += block(n, c, length_cap)
-    return list(prefix), stair
+    and the blocks at `indices` concatenated, both in the blocks' type. The
+    top block is built first, so a top index above the cap is refused
+    before the table grows to it, and a staircase above the cap before the
+    rest is built."""
+    top = block(n, indices[0], length_cap)
+    prefix = type(top)(_word_prefix(n, sum(map(get_table(n).term, indices)), length_cap))
+    return prefix, _joined([top] + [block(n, c, length_cap) for c in indices[1:]])
 
 
-@_timed
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
                                length_max: int = 10_000) -> CheckReport:
     """The prefix law, at every length L up to `length_max`: the blocks at
@@ -307,7 +315,7 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
             report.guarded({"n": n, "length": length, "sub": "prefix"},
                            lambda: ((length, letter),
                                     (_matched_prefix(n, prefix, blocks, rep), char_at(n, length))))
-    return report
+    return report.done()
 
 
 def _matched_prefix(n: int, prefix: str, blocks: dict[int, str],
@@ -327,7 +335,6 @@ def _matched_prefix(n: int, prefix: str, blocks: dict[int, str],
     return offset
 
 
-@_timed
 def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
                         bound: int = 100_000) -> CheckReport:
     """Fixed-summand machinery: telescoping identity, largest-summand
@@ -390,7 +397,7 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
                 for j in range(3, 9):
                     report.guarded({"n": n, "k": k, "j": j, "sub": "rows"},
                                    lambda j=j: _rows_pair(n, k, j, tops))
-    return report
+    return report.done()
 
 
 def _any_summand_walk(n: int, ks: range, bound: int,
@@ -425,7 +432,6 @@ def _q_pair(n: int, k: int, bound: int) -> tuple[list[int], list[int]]:
     return scanned, generated
 
 
-@_timed
 def check_mutation_sanity(n: int = 3, m: int = 9, delta: int = 1) -> CheckReport:
     """Corrupt one table value and confirm the battery notices.
 
@@ -444,7 +450,7 @@ def check_mutation_sanity(n: int = 3, m: int = 9, delta: int = 1) -> CheckReport
         report.fail({"n": n, "m": m, "delta": delta},
                     "at least one check fails under corruption",
                     "all checks passed")
-    return report
+    return report.done()
 
 
 ALL_CHECKS: dict[str, Callable[..., CheckReport]] = {

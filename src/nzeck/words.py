@@ -5,11 +5,13 @@ B(1) = a_1, ..., B(n) = a_n; the block at index m has exactly F(n, m)
 letters. Since B(m) is a prefix of B(m+1) for m >= n, the blocks converge
 to an infinite word (the golden string when n = 2). The prefix of length L
 is the concatenation of the blocks at the decomposition indices of L,
-largest first: `decompose(n, L)[::-1]`. Letters are plain ints in 1..n
-standing for a_1..a_n.
+largest first: `decompose(n, L)[::-1]`. Letters are ints in 1..n standing
+for a_1..a_n. A block or chunk holds them in `bytes`, one byte per letter,
+for orders n < 256, and in a tuple for n >= 256, whose letters do not fit a
+byte; either way, iterating over it yields ints.
 
 The word streams in chunks: every block of at most CHUNK_LETTERS letters is
-built once per stream as an immutable tuple, and larger blocks are expanded
+built once per stream in that container, and larger blocks are expanded
 on a stack down to those leaves. Memory is the O(depth) stack plus that one
 leaf table, which holds about 6.8k letters in all for n = 2 and 17.9k for
 n = 6. The leaves come from the rewriting alone, not from `block` or the
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import chain, count
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .decomposition import decompose
 from .errors import BlockTooLarge, ScanLimitExceeded
@@ -31,14 +33,18 @@ DEFAULT_SCAN_LIMIT = 10**7
 CHUNK_LETTERS = 4096
 
 
-def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
+def _letters(n: int) -> type:
+    """The container of order n's letters: `bytes` (one byte per letter, so
+    each concatenation is a C-level copy) below 256, else tuple."""
+    return bytes if n < 256 else tuple
+
+
+def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> bytes | tuple[int, ...]:
     """Letters of the block at index m >= 1, via the defining rewriting.
 
     A window of the last n blocks is rewritten by B(j) = B(j-1) + B(j-n)
-    from the seeds a_1, ..., a_n. Blocks are held as `bytes` while they are
-    built (one byte per letter, so each step is a C-level copy) and as
-    tuples for orders n >= 256, whose letters do not fit a byte. The result
-    is a fresh list of ints.
+    from the seeds a_1, ..., a_n. The result is immutable: `bytes` for
+    orders n < 256, a tuple of ints for n >= 256.
     """
     require_order(n)
     require_int("block index", m, 1)
@@ -56,32 +62,34 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> list[int]:
     if size > length_cap:
         raise BlockTooLarge(f"block {m} has a {size.bit_length()}-bit letter count, "
                             f"above the {cap_bits}-bit length cap")
+    letters = _letters(n)
     if m <= n:
-        return [m]
-    seed = bytes if n < 256 else tuple
-    window = deque((seed((i,)) for i in range(1, n + 1)), maxlen=n)
+        return letters((m,))
+    window = deque((letters((i,)) for i in range(1, n + 1)), maxlen=n)
     for _ in range(n + 1, m + 1):
         window.append(window[-1] + window[0])
-    return list(window[-1])
+    return window[-1]
 
 
-def stream_chunks(n: int) -> Iterator[tuple[int, ...]]:
-    """The infinite word as consecutive tuples of 1..CHUNK_LETTERS letters.
+def stream_chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
+    """The infinite word as consecutive chunks of 1..CHUNK_LETTERS letters,
+    each in the container `block` returns: `bytes` for n < 256, else tuple.
 
     Uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending B(m+1-n)
     to B(n) . B(1) ... B(m-n) turns it into B(m+1), so the partial
     concatenation always stays a block, and the blocks converge to the word.
     Each block is expanded by B(j) = B(j-1) . B(j-n) on an explicit stack
     until it is short enough to be a leaf, and leaves are yielded whole.
-    The same leaf tuple is yielded every time its block recurs. The order
+    The same leaf is yielded every time its block recurs. The order
     is checked here, at the call, not at the first chunk.
     """
     require_order(n)
     return _chunks(n)
 
 
-def _chunks(n: int) -> Iterator[tuple[int, ...]]:
-    leaves: list[tuple[int, ...]] = [()] + [(i,) for i in range(1, n + 1)]
+def _chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
+    letters = _letters(n)
+    leaves = [letters()] + [letters((i,)) for i in range(1, n + 1)]
     while len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
         leaves.append(leaves[-1] + leaves[-n])
     top = len(leaves) - 1  # largest index whose block fits in one chunk
@@ -175,7 +183,7 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
     return counts
 
 
-def format_letters(letters: list[int]) -> str:
+def format_letters(letters: Sequence[int]) -> str:
     """Pretty text form: 3, 1, 2 -> "a3 a1 a2"."""
     names = tuple(f"a{i}" for i in range(max(letters, default=0) + 1))
     return " ".join(map(names.__getitem__, letters))

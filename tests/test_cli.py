@@ -520,6 +520,11 @@ EXACT = [
     (["block", "-n", "3", "-m", "8"], 0, "a3 a1 a2 a3 a3 a1 a3 a1 a2\n", ""),
     (["block", "-n", "3", "-m", "8", "--format", "json"], 0,
      '{"n": 3, "m": 8, "letters": [3, 1, 2, 3, 3, 1, 3, 1, 2]}\n', ""),
+    (["block", "-n", "3", "-m", "2", "--format", "json"], 0,
+     '{"n": 3, "m": 2, "letters": [2]}\n', ""),
+    (["block", "-n", "300", "-m", "302"], 0, "a300 a1 a2\n", ""),
+    (["block", "-n", "300", "-m", "302", "--format", "json"], 0,
+     '{"n": 300, "m": 302, "letters": [300, 1, 2]}\n', ""),
     (["char-at", "-n", "3", "5"], 0, "a3\n", ""),
     (["char-at", "-n", "4", "5", "--format", "json"], 0,
      '{"n": 4, "pos": "5", "letter": 4}\n', ""),

@@ -130,7 +130,7 @@ def test_block_counts_at_depth_a_million_runs_the_cases_of_depth_45():
 
 def test_staircase_pair_refuses_a_staircase_above_the_length_cap(monkeypatch):
     indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
-    stair = [letter for c in indices for letter in block(3, c)]
+    stair = b"".join(block(3, c) for c in indices)
     assert harness._staircase_pair(3, indices, length_cap=23) == (stair, stair)
     with pytest.raises(BlockTooLarge, match="^prefix of 23 letters exceeds the length cap 22$"):
         harness._staircase_pair(3, indices, length_cap=22)
@@ -177,6 +177,16 @@ def test_report_json_stringifies_big_ints():
     json.dumps(payload)
 
 
+def test_report_json_lists_the_letters_of_a_block():
+    # a failed block compare reads as letters in JSON, as it did when
+    # blocks were lists
+    report = CheckReport("demo", {})
+    report.fail({"n": 3}, block(3, 5), block(300, 302))
+    failure = report.to_json_dict()["failures"][0]
+    assert (failure["expected"], failure["actual"]) == ([3, 1, 2], [300, 1, 2])
+    json.dumps(failure)
+
+
 def test_report_json_big_int_above_digit_limit():
     payload = CheckReport("x", {"b": 10**5000}).to_json_dict()
     assert payload["parameters"]["b"] == "1" + "0" * 5000
@@ -188,7 +198,7 @@ def test_prefix_check_names_the_block_that_differs(monkeypatch):
     def flipped(n, m):
         letters = block(n, m)
         if m == 7:
-            letters[-1] = letters[-1] % n + 1
+            return letters[:-1] + bytes((letters[-1] % n + 1,))
         return letters
     monkeypatch.setattr(harness, "block", flipped)
     report = check_decomposition_prefix(n_range=(3,), length_max=60)
@@ -308,13 +318,30 @@ def test_check_fails_under_corruption_without_raising(check, sweep, corruption):
 
 
 def test_concat_prefixes_records_a_failed_set_up_as_one_case():
+    # F(3, 9) + 10**8 reaches every later term: the top block, built first,
+    # is the one refused
     with perturbed_table(3, 9, 10**8):
         report = check_concat_prefixes(n_range=(3, 4), depth=12)
     healthy = check_concat_prefixes(n_range=(4,), depth=12)
     assert (report.cases_run, report.failures_total) == (1 + healthy.cases_run, 1)
     inputs, expected, actual = report.failures[0]
     assert (inputs, expected) == ({"n": 3, "sub": "set-up"}, "no exception")
-    assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
+    assert actual.startswith("BlockTooLarge: block 12 has a 28-bit letter count")
+
+
+def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monkeypatch):
+    # block 44 (n = 3) is under the length cap, the prefix F(44) + F(42) is
+    # above it: one failed set-up case, after building block 44 alone
+    built = []
+    monkeypatch.setattr(harness, "block", lambda n, m: built.append(m) or block(n, m))
+    report = check_concat_prefixes(n_range=(3,), depth=44)
+    assert term(3, 44) <= DEFAULT_LENGTH_CAP < term(3, 44) + term(3, 42)
+    assert (report.cases_run, report.failures_total) == (1, 1)
+    assert report.failures[0] == (
+        {"n": 3, "sub": "set-up"}, "no exception",
+        f"BlockTooLarge: prefix of {term(3, 44) + term(3, 42)} letters exceeds the length cap "
+        f"{DEFAULT_LENGTH_CAP}")
+    assert built == [44]
 
 
 def test_word_prefix_refuses_a_length_above_the_cap():

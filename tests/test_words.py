@@ -38,7 +38,7 @@ def per_letter_stream(n):
     (3, 1, [1]),
 ])
 def test_block_examples(n, m, expected):
-    assert block(n, m) == expected
+    assert list(block(n, m)) == expected
 
 
 def test_block_length_cap():
@@ -83,7 +83,7 @@ def test_stream_matches_per_letter_reference(n):
     assert take(n, length) == list(islice(per_letter_stream(n), length))
     seen = 0
     for chunk in stream_chunks(n):
-        assert type(chunk) is tuple and 1 <= len(chunk) <= CHUNK_LETTERS
+        assert type(chunk) is bytes and 1 <= len(chunk) <= CHUNK_LETTERS
         seen += len(chunk)
         if seen >= length:
             break
@@ -115,16 +115,18 @@ def test_block_recursion_for_orders_past_a_byte():
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
 def test_block_of_many_letters_is_a_stream_prefix(n):
     m = get_table(n).largest_index_at_most(10**5)
-    assert block(n, m) == take(n, term(n, m))
+    assert list(block(n, m)) == take(n, term(n, m))
 
 
-def test_block_returns_a_fresh_list_of_ints():
-    first = block(3, 12)
-    assert type(first) is list and {type(letter) for letter in first} == {int}
-    expected = list(first)
-    first[0] = 99
-    first.append(7)
-    assert block(3, 12) == expected
+@pytest.mark.parametrize("n,kind", [(2, bytes), (3, bytes), (255, bytes),
+                                    (256, tuple), (300, tuple)])
+def test_block_holds_its_letters_in_bytes_below_order_256_else_a_tuple(n, kind):
+    # immutable, so a caller cannot corrupt a block another caller holds
+    for m in (1, n, n + 1, n + 12):
+        letters = block(n, m)
+        assert type(letters) is kind, m
+        assert {type(letter) for letter in letters} == {int}, m
+    assert max(block(n, 2 * n)) == n
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -132,9 +134,9 @@ def test_blocks_are_stream_prefixes_from_n(n):
     # seeds below index n are single letters a_1..a_{n-1}, not prefixes
     prefix = take(n, term(n, 15))
     for m in range(n, 16):
-        assert block(n, m) == prefix[:term(n, m)]
+        assert list(block(n, m)) == prefix[:term(n, m)]
     if n > 2:
-        assert block(n, 1) != prefix[:1]
+        assert list(block(n, 1)) != prefix[:1]
 
 
 @pytest.mark.parametrize("n,length,expected", [
@@ -247,6 +249,24 @@ def test_count_prefix_scan_matches_closed_form(n):
     edges = [0, 1, CHUNK_LETTERS - 1, CHUNK_LETTERS, CHUNK_LETTERS + 1]
     for length in edges + [rng.randrange(200_001) for _ in range(20)]:
         assert count_prefix_scan(n, length) == count_prefix(n, length), length
+
+
+@pytest.mark.parametrize("n", [256, 300])
+def test_orders_past_a_byte_hold_letters_in_tuples(n):
+    # tens of thousands of letters: the blocks cross many chunk boundaries
+    m = get_table(n).largest_index_at_most(50_000)
+    length = term(n, m)
+    prefix = take(n, length)
+    assert block(n, m) == tuple(prefix)
+    assert type(block(n, n)) is tuple
+    seen = 0
+    for chunk in stream_chunks(n):
+        assert type(chunk) is tuple and 1 <= len(chunk) <= CHUNK_LETTERS
+        seen += len(chunk)
+        if seen >= length:
+            break
+    for cut in (0, 1, n, n + 1, CHUNK_LETTERS, CHUNK_LETTERS + 1, length):
+        assert count_prefix_scan(n, cut) == count_prefix(n, cut), cut
 
 
 def test_count_prefix_scan_limit():
