@@ -10,7 +10,7 @@ from functools import cache
 from itertools import islice
 
 from . import decomposition, fixed_summand, harness, sequence, words
-from .errors import NzeckError, ScanLimitExceeded
+from .errors import NzeckError, ScanLimitExceeded, _brief
 
 ENV_LENGTH_CAP = "NZECK_LENGTH_CAP"
 ENV_SCAN_LIMIT = "NZECK_SCAN_LIMIT"
@@ -79,10 +79,11 @@ def cmd_recompose(args) -> dict:
 def cmd_string(args) -> dict:
     limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
     if args.prefix > limit:
-        raise ScanLimitExceeded(f"prefix of {args.prefix} letters exceeds the scan limit {limit}")
-    letters = list(islice(words.stream(args.order), args.prefix))
-    return {"json": lambda: {"n": args.order, "prefix": letters},
-            "text": lambda: words.format_letters(letters)}
+        raise ScanLimitExceeded(f"prefix of {_brief(args.prefix)} letters exceeds the scan "
+                                f"limit {_brief(limit)}")
+    return {"json": lambda: {"n": args.order,
+                             "prefix": list(islice(words.stream(args.order), args.prefix))},
+            "text": lambda: words._prefix_text(args.order, args.prefix)}
 
 
 def cmd_block(args) -> dict:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from typing import Iterator
 
-from .errors import IndexNotFound, InvalidDecomposition
+from .errors import IndexNotFound, InvalidDecomposition, _brief
 from .sequence import get_table, require_int, require_order
 
 
@@ -54,7 +54,8 @@ def decompose(n: int, value: int) -> list[int]:
         while c >= n and fwd[c] > remainder:
             c -= 1
         if c < n:
-            raise IndexNotFound(f"no index >= {n} below {hi} fits the remainder {remainder}")
+            raise IndexNotFound(f"no index >= {n} below {hi} fits the remainder "
+                                f"{_brief(remainder)}")
         indices.append(c)
         remainder -= fwd[c]
         hi = c - n + 1
@@ -120,9 +121,10 @@ def validate(n: int, indices: list[int]) -> None:
         if cur < lo:
             # lo == n alone marks the first index for any order n >= 1
             if lo == n and cur == indices[0]:
-                raise InvalidDecomposition(f"first index {cur} is below the order {n}")
+                raise InvalidDecomposition(f"first index {_brief(cur)} is below the order {n}")
             prev = lo - n
-            raise InvalidDecomposition(f"gap {cur - prev} between indices {prev} and {cur} is below {n}")
+            raise InvalidDecomposition(f"gap {_brief(cur - prev)} between indices {_brief(prev)} "
+                                       f"and {_brief(cur)} is below {n}")
         lo = cur + n
 
 

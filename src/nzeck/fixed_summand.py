@@ -18,11 +18,11 @@ infinite word the generators are driven by.
 from __future__ import annotations
 
 from itertools import accumulate, chain, compress, islice, repeat, takewhile
-from operator import add, ge
+from operator import add
 from typing import Iterable, Iterator
 
 from .decomposition import successive_decompositions
-from .errors import NzeckError, ScanLimitExceeded
+from .errors import NzeckError, ScanLimitExceeded, _brief
 from .sequence import get_table, require_int, require_order
 from .words import DEFAULT_SCAN_LIMIT, stream
 
@@ -56,7 +56,8 @@ def smallest_summand_scan(n: int, k: int, bound: int,
     require_int("bound", bound)
     require_int("scan_limit", scan_limit, 0)
     if bound > scan_limit:
-        raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
+        raise ScanLimitExceeded(f"scan to {_brief(bound)} exceeds the limit "
+                                f"{_brief(scan_limit)}")
     return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
             if rep[-1] == k]
 
@@ -79,24 +80,24 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     the values representable entirely below index k. The base q grows with
     every member (letter counts only grow and all terms are positive), so
     the bases are taken while q <= bound. Runs from distinct members never
-    overlap: one C-level pass checks that every base lies above the previous
-    run's end, and NzeckError names the first base that does not. The last
-    run is clipped to bound, and the runs are chained as ranges; when
+    overlap: consecutive bases differ by one step F(n, k+a), 1 <= a <= n,
+    so before any base is drawn each of the n steps is checked to be at
+    least the run length, and NzeckError names the first that is not. On
+    a correct table F(n, k+a) >= F(n, k-(n-1)) and the check passes. The
+    last run is clipped to bound, and the runs are chained as ranges; when
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
     the answer.
     """
     require_order(n)
     require_int("fixed index k", k, n)
     require_int("bound", bound, 1)
-    run_len = get_table(n).term(k - (n - 1))
+    table = get_table(n)
+    run_len = table.term(k - (n - 1))
+    for a in range(1, n + 1):
+        if table.term(k + a) < run_len:
+            raise NzeckError(f"overlapping runs for n={n}, k={k}: the step F({n}, {k + a}) "
+                             f"is below the run length {_brief(run_len)}")
     bases = list(takewhile(bound.__ge__, smallest_summand_stream(n, k)))
-    # run ends (exclusive) stay lazy: a list of them would be held beside
-    # the answer for no gain
-    if not all(map(ge, bases[1:], map(add, bases, repeat(run_len)))):
-        for prev, base in zip(bases, bases[1:]):
-            if base < prev + run_len:
-                raise NzeckError(f"overlapping runs for n={n}, k={k}: base {base} is "
-                                 f"not above the previous run's end {prev + run_len - 1}")
     if run_len == 1 or not bases:
         return bases
     last = bases[-1]
@@ -116,7 +117,8 @@ def _any_summand_flags(n: int, ks: Iterable[int], bound: int,
     require_int("bound", bound)
     require_int("scan_limit", scan_limit, 0)
     if bound > scan_limit:
-        raise ScanLimitExceeded(f"scan to {bound} exceeds the limit {scan_limit}")
+        raise ScanLimitExceeded(f"scan to {_brief(bound)} exceeds the limit "
+                                f"{_brief(scan_limit)}")
     flags = {k: bytearray(max(bound, 0) + 1) for k in ks}
     get = flags.get
     for value, rep in zip(range(1, bound + 1), successive_decompositions(n)):
@@ -144,7 +146,8 @@ def telescoping_identity(n: int, m: int, v: int, u: int) -> bool:
     for name, value in (("m", m), ("v", v), ("u", u)):
         require_int(name, value)
     if m < 1 or v < 1 or not 1 <= u <= n:
-        raise ValueError(f"need m >= 1, v >= 1, 1 <= u <= n; got m={m}, v={v}, u={u}")
+        raise ValueError(f"need m >= 1, v >= 1, 1 <= u <= n; "
+                         f"got m={_brief(m)}, v={_brief(v)}, u={_brief(u)}")
     table = get_table(n)
     lhs = table.term(m + v * n + u) - sum(table.term(m + t * n + u - 1) for t in range(1, v + 1))
     return lhs == table.term(m + u)

@@ -14,10 +14,12 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 
+from .errors import _brief
+
 
 def require_order(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool) or n < 2:
-        raise ValueError(f"order n must be an integer >= 2, got {n!r}")
+        raise ValueError(f"order n must be an integer >= 2, got {_brief(n)}")
 
 
 def require_int(name: str, value: int, low: int | None = None) -> None:
@@ -26,7 +28,7 @@ def require_int(name: str, value: int, low: int | None = None) -> None:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
-        raise ValueError(f"{name} must be >= {low}, got {value!r}")
+        raise ValueError(f"{name} must be >= {low}, got {_brief(value)}")
 
 
 class SequenceTable:

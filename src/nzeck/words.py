@@ -11,11 +11,14 @@ for orders n < 256, and in a tuple for n >= 256, whose letters do not fit a
 byte; either way, iterating over it yields ints.
 
 The word streams in chunks: every block of at most CHUNK_LETTERS letters is
-built once per stream in that container, and larger blocks are expanded
-on a stack down to those leaves. Memory is the O(depth) stack plus that one
-leaf table, which holds about 6.8k letters in all for n = 2 and 17.9k for
-n = 6. The leaves come from the rewriting alone, not from `block` or the
-sequence table, so the stream stays an independent oracle for both.
+built once per stream in that container (`_leaves`), and larger blocks are
+expanded on a stack down to those leaves (`_leaf_indices`, one walk that
+yields leaf indices). Memory is the O(depth) stack plus that one leaf
+table, which holds about 6.8k letters in all for n = 2 and 17.9k for n = 6.
+The leaves come from the rewriting alone, not from `block` or the sequence
+table, so the stream stays an independent oracle for both. The text form of
+a prefix (`_prefix_text`, behind `nzeck string`) walks the same leaf
+indices and joins a text leaf per whole leaf, built by the same rewriting.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from itertools import chain, count
 from typing import Iterator, Sequence
 
 from .decomposition import decompose
-from .errors import BlockTooLarge, ScanLimitExceeded
+from .errors import BlockTooLarge, ScanLimitExceeded, _brief
 from .sequence import get_table, require_int, require_order
 
 DEFAULT_LENGTH_CAP = 10**7
@@ -56,11 +59,11 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> bytes | tuple
     cap_bits = length_cap.bit_length()
     floor_bits = (m - n) // n
     if floor_bits >= cap_bits:
-        raise BlockTooLarge(f"block {m} has at least 2**{floor_bits} letters, "
+        raise BlockTooLarge(f"block {_brief(m)} has at least 2**{_brief(floor_bits)} letters, "
                             f"above the {cap_bits}-bit length cap")
     size = get_table(n).term(m)
     if size > length_cap:
-        raise BlockTooLarge(f"block {m} has a {size.bit_length()}-bit letter count, "
+        raise BlockTooLarge(f"block {_brief(m)} has a {size.bit_length()}-bit letter count, "
                             f"above the {cap_bits}-bit length cap")
     letters = _letters(n)
     if m <= n:
@@ -75,33 +78,72 @@ def stream_chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
     """The infinite word as consecutive chunks of 1..CHUNK_LETTERS letters,
     each in the container `block` returns: `bytes` for n < 256, else tuple.
 
-    Uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending B(m+1-n)
-    to B(n) . B(1) ... B(m-n) turns it into B(m+1), so the partial
-    concatenation always stays a block, and the blocks converge to the word.
-    Each block is expanded by B(j) = B(j-1) . B(j-n) on an explicit stack
-    until it is short enough to be a leaf, and leaves are yielded whole.
-    The same leaf is yielded every time its block recurs. The order
-    is checked here, at the call, not at the first chunk.
+    The chunks are the leaves of `_leaves`, in the order `_leaf_indices`
+    walks them; the same leaf is yielded every time its block recurs. The
+    order is checked here, at the call, not at the first chunk.
     """
     require_order(n)
-    return _chunks(n)
+    leaves = _leaves(n)
+    return map(leaves.__getitem__, _leaf_indices(n, len(leaves) - 1))
 
 
-def _chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
+def _leaves(n: int) -> list:
+    """The leaf table: entry j is B(j) for every block of at most
+    CHUNK_LETTERS letters, by B(j) = B(j-1) + B(j-n) from the seeds, built
+    from the rewriting alone; entry 0 is empty."""
     letters = _letters(n)
     leaves = [letters()] + [letters((i,)) for i in range(1, n + 1)]
     while len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
         leaves.append(leaves[-1] + leaves[-n])
-    top = len(leaves) - 1  # largest index whose block fits in one chunk
+    return leaves
+
+
+def _leaf_indices(n: int, top: int) -> Iterator[int]:
+    """Indices of the leaves that spell the word, in order, where `top` is
+    the largest index of a leaf.
+
+    Uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending B(m+1-n)
+    to B(n) . B(1) ... B(m-n) turns it into B(m+1), so the partial
+    concatenation always stays a block, and the blocks converge to the word.
+    Each block above `top` is expanded by B(j) = B(j-1) . B(j-n) on an
+    explicit stack down to leaves.
+    """
     for idx in chain((n,), count(1)):
         stack = [idx]
         while stack:
             j = stack.pop()
             if j <= top:
-                yield leaves[j]
+                yield j
             else:
                 stack.append(j - n)
                 stack.append(j - 1)
+
+
+def _prefix_text(n: int, length: int) -> str:
+    """`format_letters` of the first `length` letters of the word, joined
+    from text leaves.
+
+    Beside the leaf table, the same rewriting builds each leaf's text:
+    T(j) = T(j-1) + " " + T(j-n) from the seeds "a1" .. "an". Every whole
+    leaf then costs one reference to its text, and only the last, partial
+    leaf is formatted letter by letter. Both tables live for this call.
+    """
+    require_order(n)
+    leaves = _leaves(n)
+    texts = [""] + [f"a{i}" for i in range(1, n + 1)]
+    for j in range(n + 1, len(leaves)):
+        texts.append(texts[j - 1] + " " + texts[j - n])
+    parts = []
+    left = length
+    indices = _leaf_indices(n, len(leaves) - 1)
+    while left > 0:
+        j = next(indices)
+        if len(leaves[j]) > left:
+            parts.append(format_letters(leaves[j][:left]))
+            break
+        parts.append(texts[j])
+        left -= len(leaves[j])
+    return " ".join(parts)
 
 
 def stream(n: int) -> Iterator[int]:
@@ -169,7 +211,8 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
     require_int("prefix length", length, 0)
     require_int("scan_limit", scan_limit, 0)
     if length > scan_limit:
-        raise ScanLimitExceeded(f"scan of {length} letters exceeds the limit {scan_limit}")
+        raise ScanLimitExceeded(f"scan of {_brief(length)} letters exceeds the limit "
+                                f"{_brief(scan_limit)}")
     counts = [0] * n
     remaining = length
     chunks = stream_chunks(n)

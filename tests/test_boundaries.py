@@ -3,6 +3,7 @@ a float, a bool, a str, None or a value below its bound is a ValueError
 naming it."""
 
 import inspect
+import sys
 import re
 
 import pytest
@@ -113,3 +114,57 @@ def test_the_table_lists_every_integer_argument_of_every_public_function():
     for func, arg, _, _ in ARGUMENTS:
         listed.setdefault(func.__name__, set()).add(arg)
     assert listed == integer_args
+
+
+HUGE = 10**5000  # 5001 digits, past CPython's default 4300-digit int<->str limit
+
+# (id, call, error class, exact message): a caller-sized int of more than 100
+# digits reads "a D-digit integer", so no message calls str() on it
+HUGE_ARGUMENTS = [
+    ("count_prefix_scan-length", lambda: nzeck.count_prefix_scan(3, HUGE),
+     nzeck.ScanLimitExceeded, "scan of a 5001-digit integer letters exceeds the limit 10000000"),
+    ("count_prefix_scan-scan_limit",
+     lambda: nzeck.count_prefix_scan(3, HUGE, scan_limit=HUGE - 1), nzeck.ScanLimitExceeded,
+     "scan of a 5001-digit integer letters exceeds the limit a 5000-digit integer"),
+    ("count_prefix_scan-100-digits", lambda: nzeck.count_prefix_scan(3, 10**100 - 1),
+     nzeck.ScanLimitExceeded, f"scan of {'9' * 100} letters exceeds the limit 10000000"),
+    ("count_prefix_scan-101-digits", lambda: nzeck.count_prefix_scan(3, 10**100),
+     nzeck.ScanLimitExceeded, "scan of a 101-digit integer letters exceeds the limit 10000000"),
+    ("smallest_summand_scan-bound", lambda: nzeck.smallest_summand_scan(3, 3, HUGE),
+     nzeck.ScanLimitExceeded, "scan to a 5001-digit integer exceeds the limit 10000000"),
+    ("any_summand_scan-bound", lambda: nzeck.any_summand_scan(3, 3, HUGE),
+     nzeck.ScanLimitExceeded, "scan to a 5001-digit integer exceeds the limit 10000000"),
+    ("block-m", lambda: nzeck.block(3, HUGE), nzeck.BlockTooLarge,
+     "block a 5001-digit integer has at least 2**a 5000-digit integer letters, "
+     "above the 24-bit length cap"),
+    ("char_at-pos", lambda: nzeck.char_at(3, -HUGE), ValueError,
+     "position must be >= 1, got a negative 5001-digit integer"),
+    ("validate-gap", lambda: nzeck.validate(3, [HUGE, HUGE + 1]), nzeck.InvalidDecomposition,
+     "gap 1 between indices a 5001-digit integer and a 5001-digit integer is below 3"),
+    ("validate-first", lambda: nzeck.validate(3, [-HUGE]), nzeck.InvalidDecomposition,
+     "first index a negative 5001-digit integer is below the order 3"),
+    ("get_table-n", lambda: nzeck.get_table(-HUGE), ValueError,
+     "order n must be an integer >= 2, got a negative 5001-digit integer"),
+    ("telescoping_identity-m", lambda: nzeck.telescoping_identity(3, -HUGE, 1, 1), ValueError,
+     "need m >= 1, v >= 1, 1 <= u <= n; got m=a negative 5001-digit integer, v=1, u=1"),
+]
+
+
+@pytest.fixture
+def default_digit_limit():
+    if not hasattr(sys, "set_int_max_str_digits"):
+        pytest.skip("this Python has no int<->str digit limit")
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(before)
+
+
+@pytest.mark.parametrize("call,error,message", [row[1:] for row in HUGE_ARGUMENTS],
+                         ids=[row[0] for row in HUGE_ARGUMENTS])
+def test_a_huge_argument_is_refused_with_its_digit_count(default_digit_limit, call, error,
+                                                         message):
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert str(info.value) == message

@@ -9,12 +9,13 @@ import re
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import islice
 from pathlib import Path
 
 import pytest
 
-from nzeck import (InvalidDecomposition, decompose, harness, largest_summand_rows,
+from nzeck import (InvalidDecomposition, decompose, format_letters, harness, largest_summand_rows,
                    perturbed_table, recompose, smallest_summand_members, stream, term)
 from nzeck.cli import build_parser, main
 
@@ -146,6 +147,27 @@ def test_bulk_text_matches_per_item_formatting(capsys):
                        "--format", "bfile")
     assert code == 0
     assert out == "".join(f"{j} {q}\n" for j, q in enumerate(members, start=1))
+
+
+@pytest.mark.parametrize("n", [2, 3, 6, 10, 12, 256, 300])
+def test_string_text_matches_the_stream_across_leaf_edges(capsys, n):
+    # two-digit letters from n = 10, tuple leaves from n = 256
+    for length in (0, 1, 4095, 4096, 4097, 8191, 12289, 50000):
+        code, out, _ = run(capsys, "string", "-n", str(n), "--prefix", str(length))
+        assert code == 0
+        assert out == format_letters(list(islice(stream(n), length))) + "\n", length
+
+
+def test_string_text_peaks_under_twice_its_length():
+    args = build_parser().parse_args(["string", "-n", "3", "--prefix", "1000000"])
+    tracemalloc.start()
+    try:
+        text = args.handler(args)["text"]()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(text) == 3 * 10**6 - 1
+    assert peak < 2 * len(text), peak
 
 
 def test_table1(capsys):

@@ -1,10 +1,11 @@
 """Fixed-summand families: letter-driven generators vs scan oracles."""
 
+import re
 from itertools import compress, islice
 
 import pytest
 
-from nzeck import (NzeckError, ScanLimitExceeded, any_summand_members,
+from nzeck import (NzeckError, fixed_summand, ScanLimitExceeded, any_summand_members,
                    any_summand_scan, decompose, get_table,
                    largest_summand_rows,
                    smallest_summand_members, smallest_summand_scan,
@@ -143,7 +144,33 @@ def test_any_summand_members_rejects_overlapping_runs(monkeypatch):
     # bases 2, 8, ...: the run 2..101 swallows base 8
     with pytest.raises(NzeckError, match="overlapping runs") as info:
         any_summand_members(3, 4, 50)
-    assert "base 8 is not above the previous run's end 101" in str(info.value)
+    assert "the step F(3, 5) is below the run length 100" in str(info.value)
+
+
+def test_any_summand_members_refuses_overlapping_runs_before_drawing_a_base(monkeypatch):
+    table = get_table(3)
+    real_term = table.term
+    monkeypatch.setattr(table, "term", lambda m: 100 if m == 2 else real_term(m))
+
+    def no_bases(n, k):
+        raise AssertionError("a base was drawn")
+
+    monkeypatch.setattr(fixed_summand, "smallest_summand_stream", no_bases)
+    with pytest.raises(NzeckError, match="overlapping runs"):
+        any_summand_members(3, 4, 50)
+
+
+def test_any_summand_members_refuses_a_bad_step_whose_letter_is_not_drawn(monkeypatch):
+    # n = 3, k = 8: runs of F(3, 6) = 4 values, bases 9, 9 + F(11) = 37, then
+    # 37 + F(9) = 50; up to 49 only letter a3's step is taken, so a corrupted
+    # F(10) (letter a2) never separates two drawn bases
+    table = get_table(3)
+    real_term = table.term
+    assert [real_term(m) for m in (6, 8, 9, 10, 11)] == [4, 9, 13, 19, 28]
+    monkeypatch.setattr(table, "term", lambda m: 1 if m == 10 else real_term(m))
+    with pytest.raises(NzeckError, match=re.escape(
+            "overlapping runs for n=3, k=8: the step F(3, 10) is below the run length 4")):
+        any_summand_members(3, 8, 49)
 
 
 def test_any_summand_scan_domain():
