@@ -43,7 +43,7 @@ def _count(text: str, low: int = 0) -> int:
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
     if value < low:
-        raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        raise argparse.ArgumentTypeError(f"must be >= {low}, got {_brief(value)}")
     return value
 
 

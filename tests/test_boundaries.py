@@ -2,9 +2,11 @@
 a float, a bool, a str, None or a value below its bound is a ValueError
 naming it."""
 
+import ast
 import inspect
 import sys
 import re
+from pathlib import Path
 
 import pytest
 
@@ -150,16 +152,6 @@ HUGE_ARGUMENTS = [
 ]
 
 
-@pytest.fixture
-def default_digit_limit():
-    if not hasattr(sys, "set_int_max_str_digits"):
-        pytest.skip("this Python has no int<->str digit limit")
-    before = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(4300)
-    yield
-    sys.set_int_max_str_digits(before)
-
-
 @pytest.mark.parametrize("call,error,message", [row[1:] for row in HUGE_ARGUMENTS],
                          ids=[row[0] for row in HUGE_ARGUMENTS])
 def test_a_huge_argument_is_refused_with_its_digit_count(default_digit_limit, call, error,
@@ -168,3 +160,56 @@ def test_a_huge_argument_is_refused_with_its_digit_count(default_digit_limit, ca
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nzeck").glob("*.py"))
+
+# Names a raise may format as they are: orders, table indices and step
+# offsets, bounds the library passes itself, bit lengths and text
+PLAIN_NAMES = {"n", "k", "a", "hi", "low", "cap_bits", "name", "what"}
+# Names a raise may format with !r: text, or a value just found not to be
+# an int (a bool at most)
+REPR_NAMES = {"text", "value"}
+
+
+def _may_format(node: ast.expr, conversion: int) -> bool:
+    """Whether a raise's f-string may format `node` without `_brief`."""
+    if conversion == ord("r"):
+        return isinstance(node, ast.Name) and node.id in REPR_NAMES
+    if isinstance(node, ast.Constant):
+        return True
+    if isinstance(node, ast.Name):
+        return node.id in PLAIN_NAMES
+    if isinstance(node, ast.BinOp):
+        return _may_format(node.left, -1) and _may_format(node.right, -1)
+    if isinstance(node, ast.Call):
+        func = node.func
+        if isinstance(func, ast.Name):
+            return func.id in ("_brief", "len")
+        return isinstance(func, ast.Attribute) and (
+            func.attr == "bit_length"
+            or func.attr == "join" and isinstance(func.value, ast.Constant))
+    return False
+
+
+def _unbriefed(source: str) -> list[str]:
+    """Each expression formatted in a raise's f-string that `_may_format`
+    refuses, as "line: expression"."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            for part in ast.walk(node.exc):
+                if (isinstance(part, ast.FormattedValue)
+                        and not _may_format(part.value, part.conversion)):
+                    found.append(f"{part.lineno}: {ast.get_source_segment(source, part.value)}")
+    return found
+
+
+def test_raise_messages_format_caller_sized_ints_with_brief():
+    # str() of an int above 4300 digits raises, and below it a message
+    # would print every digit; `_brief` gives the digit count instead
+    assert _unbriefed('raise ValueError(f"must be >= {low}, got {value}")') == ["1: value"]
+    assert _unbriefed('raise ValueError(f"got {size!r} and {m + 1}")') == ["1: size", "1: m + 1"]
+    found = {path.name: _unbriefed(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+    assert "cli.py" in found and "words.py" in found

@@ -382,6 +382,16 @@ def test_negative_count_flag_is_usage_error_naming_the_flag(capsys, flag, argv):
     assert "islice" not in err
 
 
+def test_huge_negative_count_flag_is_refused_with_its_digit_count(capsys):
+    # main lifts the digit limit, so the flag parses; its message must not
+    # print the 5000 digits back
+    with pytest.raises(SystemExit) as info:
+        main(["string", "-n", "3", "--prefix", "-" + "7" * 5000])
+    assert info.value.code == 2
+    err = capsys.readouterr().err
+    assert err.endswith("argument --prefix: must be >= 0, got a negative 5000-digit integer\n")
+
+
 @pytest.mark.parametrize("value", ["-5", "0"])
 def test_non_positive_verify_bound_is_usage_error(capsys, value):
     with pytest.raises(SystemExit) as info:
