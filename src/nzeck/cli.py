@@ -10,7 +10,7 @@ from functools import cache
 from itertools import islice
 
 from . import decomposition, fixed_summand, harness, sequence, words
-from .errors import NzeckError, ScanLimitExceeded, _brief
+from .errors import NzeckError, _brief
 
 ENV_LENGTH_CAP = "NZECK_LENGTH_CAP"
 ENV_SCAN_LIMIT = "NZECK_SCAN_LIMIT"
@@ -78,9 +78,7 @@ def cmd_recompose(args) -> dict:
 
 def cmd_string(args) -> dict:
     limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
-    if args.prefix > limit:
-        raise ScanLimitExceeded(f"prefix of {_brief(args.prefix)} letters exceeds the scan "
-                                f"limit {_brief(limit)}")
+    sequence.require_at_most("prefix length", args.prefix, limit)
     return {"json": lambda: {"n": args.order,
                              "prefix": list(islice(words.stream(args.order), args.prefix))},
             "text": lambda: words._prefix_text(args.order, args.prefix)}
@@ -114,6 +112,8 @@ def cmd_counts(args) -> dict:
 
 
 def cmd_qseq(args) -> dict:
+    sequence.require_at_most("member count", args.count,
+                             _cap(None, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
     members = fixed_summand.smallest_summand_members(args.order, args.fixed_index, args.count)
     return {"json": lambda: {"n": args.order, "k": args.fixed_index,
                              "q": [str(q) for q in members]},

@@ -19,11 +19,11 @@ from __future__ import annotations
 
 from itertools import accumulate, chain, compress, islice, repeat, takewhile
 from operator import add
-from typing import Iterable, Iterator
+from typing import Iterator, Sequence
 
 from .decomposition import successive_decompositions
-from .errors import NzeckError, ScanLimitExceeded, _brief
-from .sequence import get_table, require_int, require_order
+from .errors import NzeckError, _brief
+from .sequence import get_table, require_at_most, require_int, require_order
 from .words import DEFAULT_SCAN_LIMIT, stream
 
 
@@ -55,9 +55,7 @@ def smallest_summand_scan(n: int, k: int, bound: int,
     require_int("fixed index k", k, n)
     require_int("bound", bound)
     require_int("scan_limit", scan_limit, 0)
-    if bound > scan_limit:
-        raise ScanLimitExceeded(f"scan to {_brief(bound)} exceeds the limit "
-                                f"{_brief(scan_limit)}")
+    require_at_most("scan bound", bound, scan_limit)
     return [value for value, rep in zip(range(1, bound + 1), successive_decompositions(n))
             if rep[-1] == k]
 
@@ -106,22 +104,22 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     return out
 
 
-def _any_summand_flags(n: int, ks: Iterable[int], bound: int,
+def _any_summand_flags(n: int, ks: Sequence[int], bound: int,
                        scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict[int, bytearray]:
     """The any-summand scan for every k in `ks` from one add-one walk over
     1..bound: flags[k][value] is 1 iff the decomposition of value contains
-    index k. A bound below 1 is an empty scan."""
+    index k. A bound below 1 or an empty `ks` is an empty scan. The whole
+    flag count, len(ks) * bound, is refused above `scan_limit` before any
+    flag row is allocated; for one k that is a bound above it."""
     require_order(n)
     for k in ks:
         require_int("fixed index k", k, n)
     require_int("bound", bound)
     require_int("scan_limit", scan_limit, 0)
-    if bound > scan_limit:
-        raise ScanLimitExceeded(f"scan to {_brief(bound)} exceeds the limit "
-                                f"{_brief(scan_limit)}")
+    require_at_most("flag count", len(ks) * bound, scan_limit)
     flags = {k: bytearray(max(bound, 0) + 1) for k in ks}
     get = flags.get
-    for value, rep in zip(range(1, bound + 1), successive_decompositions(n)):
+    for value, rep in zip(range(1, bound + 1) if ks else (), successive_decompositions(n)):
         for c in rep:
             row = get(c)
             if row is not None:

@@ -24,11 +24,11 @@ from typing import Callable, Iterable, Iterator, TypeVar
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
-from .errors import BlockTooLarge, ScanLimitExceeded, _brief
+from .errors import BlockTooLarge
 from .fixed_summand import (_any_summand_flags, any_summand_members, largest_summand_rows,
                             smallest_summand_members, smallest_summand_scan,
                             telescoping_identity)
-from .sequence import get_table, perturbed_table
+from .sequence import get_table, perturbed_table, require_at_most
 from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at, count_block,
                     count_prefix, stream)
 
@@ -282,9 +282,7 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
 def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Iterator[int]:
     """The word's first `length` letters; a length above `length_cap` is
     refused before any letter is drawn."""
-    if length > length_cap:
-        raise BlockTooLarge(f"prefix of {_brief(length)} letters exceeds the length cap "
-                            f"{_brief(length_cap)}")
+    require_at_most("prefix length", length, length_cap, BlockTooLarge)
     return islice(stream(n), length)
 
 
@@ -396,7 +394,7 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
         # generator vs oracle, any-summand family: one add-one walk for every k
         ks = range(n, n + max_k_offset + 1)
         flags = report.set_up({"n": n, "bound": bound, "sub": "any-summand set-up"},
-                              lambda: _any_summand_walk(n, ks, bound))
+                              lambda: _any_summand_flags(n, ks, bound))
         if flags is not None:
             for k in ks:
                 report.guarded({"n": n, "k": k, "bound": bound, "sub": "any-summand"},
@@ -416,22 +414,10 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
     return report.done()
 
 
-def _any_summand_walk(n: int, ks: range, bound: int,
-                      scan_limit: int = DEFAULT_SCAN_LIMIT) -> dict[int, bytearray]:
-    """`_any_summand_flags` for every k in `ks`; more than `scan_limit`
-    flags in all, one per value to `bound` for each k, are refused before
-    any flag row is allocated."""
-    if len(ks) * bound > scan_limit:
-        raise ScanLimitExceeded(f"{len(ks)} x {_brief(bound)} any-summand flags exceed "
-                                f"the scan limit {_brief(scan_limit)}")
-    return _any_summand_flags(n, ks, bound, scan_limit)
-
-
 def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
     """The largest index of each of the first `rows` smallest-summand
     members for k; more than `scan_limit` rows are refused."""
-    if rows > scan_limit:
-        raise ScanLimitExceeded(f"{_brief(rows)} rows exceed the scan limit {_brief(scan_limit)}")
+    require_at_most("row count", rows, scan_limit)
     return [decompose(n, q)[-1] for q in smallest_summand_members(n, k, rows)]
 
 

@@ -14,7 +14,7 @@ import threading
 from bisect import bisect_right
 from contextlib import contextmanager
 
-from .errors import _brief
+from .errors import ScanLimitExceeded, _brief
 
 
 def require_order(n: int) -> None:
@@ -29,6 +29,17 @@ def require_int(name: str, value: int, low: int | None = None) -> None:
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if low is not None and value < low:
         raise ValueError(f"{name} must be >= {low}, got {_brief(value)}")
+
+
+def require_at_most(what: str, value: int, limit: int,
+                    error: type[Exception] = ScanLimitExceeded) -> None:
+    """Raise `error` when value > limit: the one size refusal, made before
+    the caller allocates anything sized by value. The message is
+    "<what> <value> exceeds the limit <limit>", both numbers by `_brief`;
+    the class tells the limit apart: ScanLimitExceeded for a scan limit,
+    BlockTooLarge for a length cap. Both numbers must already be ints."""
+    if value > limit:
+        raise error(f"{what} {_brief(value)} exceeds the limit {_brief(limit)}")
 
 
 class SequenceTable:

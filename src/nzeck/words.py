@@ -39,8 +39,8 @@ from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .decomposition import decompose
-from .errors import BlockTooLarge, ScanLimitExceeded, _brief
-from .sequence import get_table, require_int, require_order
+from .errors import BlockTooLarge, _brief
+from .sequence import get_table, require_at_most, require_int, require_order
 
 DEFAULT_LENGTH_CAP = 10**7
 DEFAULT_SCAN_LIMIT = 10**7
@@ -66,19 +66,17 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> bytes | tuple
     require_order(n)
     require_int("block index", m, 1)
     require_int("length_cap", length_cap, 0)
-    # Sizes are reported by bit length: str() of an int above 4300 digits
-    # raises. F(n, m) >= 2 F(n, m - n) gives F(n, m) >= 2**((m - n) // n) for
-    # m >= n, which refuses most oversized blocks before growing a table whose
-    # memory grows with the square of m.
+    # F(n, m) >= 2 F(n, m - n) gives F(n, m) >= 2**((m - n) // n) for m >= n,
+    # which refuses most oversized blocks before growing a table whose memory
+    # grows with the square of m. It is the one size refusal that does not go
+    # through `require_at_most`: it has a floor in bits, not the size itself.
     cap_bits = length_cap.bit_length()
     floor_bits = (m - n) // n
     if floor_bits >= cap_bits:
         raise BlockTooLarge(f"block {_brief(m)} has at least 2**{_brief(floor_bits)} letters, "
                             f"above the {cap_bits}-bit length cap")
-    size = get_table(n).term(m)
-    if size > length_cap:
-        raise BlockTooLarge(f"block {_brief(m)} has a {size.bit_length()}-bit letter count, "
-                            f"above the {cap_bits}-bit length cap")
+    require_at_most(f"block {_brief(m)} length", get_table(n).term(m), length_cap,
+                    BlockTooLarge)
     letters = _letters(n)
     if m <= n:
         return letters((m,))
@@ -259,9 +257,7 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
     require_order(n)
     require_int("prefix length", length, 0)
     require_int("scan_limit", scan_limit, 0)
-    if length > scan_limit:
-        raise ScanLimitExceeded(f"scan of {_brief(length)} letters exceeds the limit "
-                                f"{_brief(scan_limit)}")
+    require_at_most("prefix length", length, scan_limit)
     counts = [0] * n
     remaining = length
     chunks = stream_chunks(n)

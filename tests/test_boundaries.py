@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import nzeck
+from nzeck.sequence import require_at_most
 
 ORDER_MESSAGE = "order n must be an integer >= 2, got {!r}"
 TELESCOPING_BELOW = "need m >= 1, v >= 1, 1 <= u <= n; got m={m}, v={v}, u={u}"
@@ -124,18 +125,18 @@ HUGE = 10**5000  # 5001 digits, past CPython's default 4300-digit int<->str limi
 # digits reads "a D-digit integer", so no message calls str() on it
 HUGE_ARGUMENTS = [
     ("count_prefix_scan-length", lambda: nzeck.count_prefix_scan(3, HUGE),
-     nzeck.ScanLimitExceeded, "scan of a 5001-digit integer letters exceeds the limit 10000000"),
+     nzeck.ScanLimitExceeded, "prefix length a 5001-digit integer exceeds the limit 10000000"),
     ("count_prefix_scan-scan_limit",
      lambda: nzeck.count_prefix_scan(3, HUGE, scan_limit=HUGE - 1), nzeck.ScanLimitExceeded,
-     "scan of a 5001-digit integer letters exceeds the limit a 5000-digit integer"),
+     "prefix length a 5001-digit integer exceeds the limit a 5000-digit integer"),
     ("count_prefix_scan-100-digits", lambda: nzeck.count_prefix_scan(3, 10**100 - 1),
-     nzeck.ScanLimitExceeded, f"scan of {'9' * 100} letters exceeds the limit 10000000"),
+     nzeck.ScanLimitExceeded, f"prefix length {'9' * 100} exceeds the limit 10000000"),
     ("count_prefix_scan-101-digits", lambda: nzeck.count_prefix_scan(3, 10**100),
-     nzeck.ScanLimitExceeded, "scan of a 101-digit integer letters exceeds the limit 10000000"),
+     nzeck.ScanLimitExceeded, "prefix length a 101-digit integer exceeds the limit 10000000"),
     ("smallest_summand_scan-bound", lambda: nzeck.smallest_summand_scan(3, 3, HUGE),
-     nzeck.ScanLimitExceeded, "scan to a 5001-digit integer exceeds the limit 10000000"),
+     nzeck.ScanLimitExceeded, "scan bound a 5001-digit integer exceeds the limit 10000000"),
     ("any_summand_scan-bound", lambda: nzeck.any_summand_scan(3, 3, HUGE),
-     nzeck.ScanLimitExceeded, "scan to a 5001-digit integer exceeds the limit 10000000"),
+     nzeck.ScanLimitExceeded, "flag count a 5001-digit integer exceeds the limit 10000000"),
     ("block-m", lambda: nzeck.block(3, HUGE), nzeck.BlockTooLarge,
      "block a 5001-digit integer has at least 2**a 5000-digit integer letters, "
      "above the 24-bit length cap"),
@@ -160,6 +161,27 @@ def test_a_huge_argument_is_refused_with_its_digit_count(default_digit_limit, ca
         call()
     assert type(info.value) is error
     assert str(info.value) == message
+
+
+def test_require_at_most_passes_the_limit_and_refuses_one_above():
+    require_at_most("row count", 12, 12)
+    with pytest.raises(nzeck.ScanLimitExceeded) as info:
+        require_at_most("row count", 13, 12)
+    assert type(info.value) is nzeck.ScanLimitExceeded
+    assert str(info.value) == "row count 13 exceeds the limit 12"
+
+
+def test_require_at_most_raises_the_error_class_it_is_given():
+    with pytest.raises(nzeck.BlockTooLarge) as info:
+        require_at_most("prefix length", 60, 59, nzeck.BlockTooLarge)
+    assert type(info.value) is nzeck.BlockTooLarge
+    assert str(info.value) == "prefix length 60 exceeds the limit 59"
+
+
+def test_require_at_most_gives_the_digit_count_of_a_huge_value(default_digit_limit):
+    with pytest.raises(nzeck.ScanLimitExceeded) as info:
+        require_at_most("scan bound", 10**100, 10**100 - 1)
+    assert str(info.value) == f"scan bound a 101-digit integer exceeds the limit {'9' * 100}"
 
 
 SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "nzeck").glob("*.py"))
@@ -213,3 +235,39 @@ def test_raise_messages_format_caller_sized_ints_with_brief():
     found = {path.name: _unbriefed(path.read_text()) for path in SOURCES}
     assert {name: lines for name, lines in found.items() if lines} == {}
     assert "cli.py" in found and "words.py" in found
+
+
+SIZE_ERRORS = {"ScanLimitExceeded", "BlockTooLarge"}
+
+
+def _size_raises(source: str) -> list[str]:
+    """The name of the innermost function around each `raise` of a size
+    error class, "<module>" outside any, leaving out `require_at_most`."""
+    found = []
+
+    def visit(node: ast.AST, where: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Raise) and child.exc is not None:
+                exc = child.exc.func if isinstance(child.exc, ast.Call) else child.exc
+                name = exc.attr if isinstance(exc, ast.Attribute) else getattr(exc, "id", None)
+                if name in SIZE_ERRORS and where != "require_at_most":
+                    found.append(where)
+            visit(child, where)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_size_refusals_go_through_require_at_most():
+    # one message shape for every scan-limit and length-cap refusal; the
+    # one raise of its own is block's floor-bits refusal, made before the
+    # size exists, so it has no value to pass to the guard
+    assert _size_raises("def f():\n    raise errors.BlockTooLarge('x')\n"
+                        "raise ScanLimitExceeded\n") == ["f", "<module>"]
+    assert _size_raises("def require_at_most():\n    raise ScanLimitExceeded('x')\n") == []
+    found = {path.name: _size_raises(path.read_text()) for path in SOURCES}
+    assert {name: where for name, where in found.items() if where} == {"words.py": ["block"]}
+    assert "sequence.py" in found and "harness.py" in found

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (InvalidDecomposition, decompose, format_letters, harness, largest_summand_rows,
-                   perturbed_table, recompose, smallest_summand_members, stream, term)
+from nzeck import (DEFAULT_SCAN_LIMIT, InvalidDecomposition, decompose, fixed_summand,
+                   format_letters, harness, largest_summand_rows, perturbed_table, recompose,
+                   smallest_summand_members, stream, term)
 from nzeck.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -240,7 +241,7 @@ def test_verify_refuses_a_max_k_offset_above_the_scan_limit(capsys):
     (report,) = json.loads(out)
     assert report["failures_total"] == 1
     assert report["failures"][0]["actual"] == (
-        "ScanLimitExceeded: 1001 x 100000 any-summand flags exceed the scan limit 10000000")
+        "ScanLimitExceeded: flag count 100100000 exceeds the limit 10000000")
 
 
 def test_verify_mutation_sanity_ignores_sweep_flags(capsys):
@@ -319,6 +320,29 @@ def test_scan_limit_env_override(capsys, monkeypatch):
     assert code == 0
 
 
+def test_qseq_count_is_held_to_the_scan_limit(capsys, monkeypatch):
+    monkeypatch.setenv("NZECK_SCAN_LIMIT", "5")
+    code, _, err = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", "6")
+    assert (code, err) == (1, "error: ScanLimitExceeded: member count 6 exceeds the limit 5\n")
+    code, out, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", "5")
+    assert (code, out) == (0, " ".join(map(str, smallest_summand_members(3, 4, 5))) + "\n")
+
+
+def test_qseq_refuses_a_count_above_the_default_scan_limit_before_drawing(capsys, monkeypatch):
+    monkeypatch.delenv("NZECK_SCAN_LIMIT", raising=False)
+    drawn = []
+    monkeypatch.setattr(fixed_summand, "smallest_summand_members",
+                        lambda *args: drawn.append(args) or [])
+    code, _, err = run(capsys, "qseq", "-n", "3", "-k", "4",
+                       "--count", str(DEFAULT_SCAN_LIMIT + 1))
+    assert (code, err) == (1, f"error: ScanLimitExceeded: member count {DEFAULT_SCAN_LIMIT + 1} "
+                              f"exceeds the limit {DEFAULT_SCAN_LIMIT}\n")
+    assert drawn == []
+    # the limit itself is drawn
+    code, _, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", str(DEFAULT_SCAN_LIMIT))
+    assert (code, drawn) == (0, [(3, 4, DEFAULT_SCAN_LIMIT)])
+
+
 def test_length_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("NZECK_LENGTH_CAP", "3")
     code, _, err = run(capsys, "block", "-n", "3", "-m", "8")
@@ -329,6 +353,7 @@ def test_length_cap_env_override(capsys, monkeypatch):
 @pytest.mark.parametrize("name,argv", [
     ("NZECK_SCAN_LIMIT", ["string", "-n", "3", "--prefix", "10"]),
     ("NZECK_SCAN_LIMIT", ["counts", "-n", "3", "--prefix", "10", "--scan"]),
+    ("NZECK_SCAN_LIMIT", ["qseq", "-n", "3", "-k", "4", "--count", "3"]),
     ("NZECK_LENGTH_CAP", ["block", "-n", "3", "-m", "8"]),
 ])
 def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, argv):
@@ -341,6 +366,7 @@ def test_non_integer_env_override_names_the_variable(capsys, monkeypatch, name, 
 @pytest.mark.parametrize("name,argv", [
     ("NZECK_SCAN_LIMIT", ["string", "-n", "3", "--prefix", "3"]),
     ("NZECK_SCAN_LIMIT", ["counts", "-n", "3", "--prefix", "3", "--scan"]),
+    ("NZECK_SCAN_LIMIT", ["qseq", "-n", "3", "-k", "4", "--count", "3"]),
     ("NZECK_LENGTH_CAP", ["block", "-n", "3", "-m", "2"]),
 ])
 def test_negative_env_override_is_usage_error_naming_the_variable(capsys, monkeypatch,

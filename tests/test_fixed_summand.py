@@ -179,7 +179,7 @@ def test_any_summand_scan_domain():
     for bound in (0, -1, -2, -5):
         assert any_summand_scan(3, 3, bound) == [], bound
     assert any_summand_scan(3, 3, 10, 10) == [1, 5, 7, 10]
-    with pytest.raises(ScanLimitExceeded, match="^scan to 10 exceeds the limit 5$"):
+    with pytest.raises(ScanLimitExceeded, match="^flag count 10 exceeds the limit 5$"):
         any_summand_scan(3, 3, 10, 5)
 
 
@@ -187,7 +187,7 @@ def test_any_summand_scan_domain():
 def test_one_walk_flags_every_k_as_the_per_k_scans_do(n):
     ks = range(n, n + 7)
     bound = 20_000
-    flags = _any_summand_flags(n, ks, bound, bound)
+    flags = _any_summand_flags(n, ks, bound, len(ks) * bound)
     assert list(flags) == list(ks)
     # reference: a membership test per k on one walk
     expected = {k: [] for k in ks}

@@ -101,7 +101,8 @@ def test_block_counts_ends_its_block_sweep_at_an_oversized_block():
         {"n": 3, "m": 9, "sub": "set-up"}, {"n": 3, "staircase_m": 3}]
     _, expected, actual = broken.failures[0]
     assert expected == "no exception"
-    assert actual.startswith("BlockTooLarge: block 9 has a 27-bit letter count")
+    assert actual == "BlockTooLarge: block 9 length 100000013 exceeds the limit " \
+        f"{DEFAULT_LENGTH_CAP}"
     assert check_mutation_sanity(n=3, m=9, delta=10**8).passed
 
 
@@ -132,13 +133,13 @@ def test_staircase_pair_refuses_a_staircase_above_the_length_cap(monkeypatch):
     indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
     stair = b"".join(block(3, c) for c in indices)
     assert harness._staircase_pair(3, indices, length_cap=23) == (stair, stair)
-    with pytest.raises(BlockTooLarge, match="^prefix of 23 letters exceeds the length cap 22$"):
+    with pytest.raises(BlockTooLarge, match="^prefix length 23 exceeds the limit 22$"):
         harness._staircase_pair(3, indices, length_cap=22)
     # the 33-step staircase at n = 2 has 24157815 letters: its top block is
     # built, and the staircase is refused before any other block or letter
     built = []
     monkeypatch.setattr(harness, "block", lambda n, m, cap: built.append(m) or block(n, m, cap))
-    with pytest.raises(BlockTooLarge, match="^prefix of 24157815 letters exceeds the length cap "
+    with pytest.raises(BlockTooLarge, match="^prefix length 24157815 exceeds the limit "
                                             f"{DEFAULT_LENGTH_CAP}$"):
         harness._staircase_pair(2, range(2 + 33, 1, -1))
     assert built == [35]
@@ -326,7 +327,9 @@ def test_concat_prefixes_records_a_failed_set_up_as_one_case():
     assert (report.cases_run, report.failures_total) == (1 + healthy.cases_run, 1)
     inputs, expected, actual = report.failures[0]
     assert (inputs, expected) == ({"n": 3, "sub": "set-up"}, "no exception")
-    assert actual.startswith("BlockTooLarge: block 12 has a 28-bit letter count")
+    # F(12) = F(11) + F(9) = (F(10) + F(8)) + F(9), two terms off by 10**8
+    assert actual == "BlockTooLarge: block 12 length 200000041 exceeds the limit " \
+        f"{DEFAULT_LENGTH_CAP}"
 
 
 def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monkeypatch):
@@ -339,14 +342,14 @@ def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monk
     assert (report.cases_run, report.failures_total) == (1, 1)
     assert report.failures[0] == (
         {"n": 3, "sub": "set-up"}, "no exception",
-        f"BlockTooLarge: prefix of {term(3, 44) + term(3, 42)} letters exceeds the length cap "
+        f"BlockTooLarge: prefix length {term(3, 44) + term(3, 42)} exceeds the limit "
         f"{DEFAULT_LENGTH_CAP}")
     assert built == [44]
 
 
 def test_word_prefix_refuses_a_length_above_the_cap():
     assert len(list(harness._word_prefix(3, 60, length_cap=60))) == 60
-    with pytest.raises(BlockTooLarge, match="^prefix of 60 letters exceeds the length cap 59$"):
+    with pytest.raises(BlockTooLarge, match="^prefix length 60 exceeds the limit 59$"):
         harness._word_prefix(3, 60, length_cap=59)
 
 
@@ -355,7 +358,7 @@ def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case(
     assert (report.cases_run, report.failures_total) == (1, 1)
     assert report.failures[0] == (
         {"n": 3, "sub": "set-up"}, "no exception",
-        f"BlockTooLarge: prefix of {DEFAULT_LENGTH_CAP + 1} letters exceeds the length cap "
+        f"BlockTooLarge: prefix length {DEFAULT_LENGTH_CAP + 1} exceeds the limit "
         f"{DEFAULT_LENGTH_CAP}")
 
 
@@ -375,7 +378,7 @@ def test_fixed_summand_records_a_failed_rows_set_up_as_one_case(monkeypatch):
 def test_row_tops_refuse_rows_above_the_scan_limit():
     # the rows check reads F(3, 9) = 13 rows, one streamed letter per member
     assert len(harness._row_tops(3, 4, 13, scan_limit=13)) == 13
-    with pytest.raises(ScanLimitExceeded, match="^13 rows exceed the scan limit 12$"):
+    with pytest.raises(ScanLimitExceeded, match="^row count 13 exceeds the limit 12$"):
         harness._row_tops(3, 4, 13, scan_limit=12)
 
 
@@ -390,8 +393,8 @@ def test_fixed_summand_records_an_any_summand_walk_over_the_limit_as_one_case(mo
     assert report.cases_run == healthy.cases_run - 2 + 1
     assert report.failures == [
         ({"n": 3, "bound": DEFAULT_SCAN_LIMIT + 1, "sub": "any-summand set-up"}, "no exception",
-         f"ScanLimitExceeded: 2 x {DEFAULT_SCAN_LIMIT + 1} any-summand flags exceed the scan "
-         f"limit {DEFAULT_SCAN_LIMIT}")]
+         f"ScanLimitExceeded: flag count {2 * (DEFAULT_SCAN_LIMIT + 1)} exceeds the limit "
+         f"{DEFAULT_SCAN_LIMIT}")]
     assert members_calls == []
 
 
@@ -406,17 +409,19 @@ def test_fixed_summand_refuses_a_huge_max_k_offset_as_one_case():
 
 
 def test_any_summand_walk_refuses_flags_above_the_scan_limit():
+    # the walk refuses its whole flag count, one flag per value for each k
     ks = range(3, 5)
-    assert harness._any_summand_walk(3, ks, 10, scan_limit=20) == \
+    assert fixed_summand._any_summand_flags(3, ks, 10, scan_limit=20) == \
         fixed_summand._any_summand_flags(3, ks, 10)
-    with pytest.raises(ScanLimitExceeded,
-                       match="^2 x 10 any-summand flags exceed the scan limit 19$"):
-        harness._any_summand_walk(3, ks, 10, scan_limit=19)
+    with pytest.raises(ScanLimitExceeded, match="^flag count 20 exceeds the limit 19$"):
+        fixed_summand._any_summand_flags(3, ks, 10, scan_limit=19)
+    # no k has no flag, so any bound is an empty walk
+    assert fixed_summand._any_summand_flags(3, (), 10**100, scan_limit=0) == {}
 
 
 # a set-up's exception is caught once, kept only as its text, and the
 # cases that needed the set-up's value are skipped
-@pytest.mark.parametrize("name,sub,skipped", [("_any_summand_walk", "any-summand", 2),
+@pytest.mark.parametrize("name,sub,skipped", [("_any_summand_flags", "any-summand", 2),
                                               ("_row_tops", "rows", 6)],
                          ids=["any", "rows"])
 def test_failed_set_up_is_one_case_and_keeps_no_exception(monkeypatch, name, sub, skipped):
