@@ -128,7 +128,9 @@ def cmd_table1(args) -> dict:
 
 
 def cmd_zset(args) -> dict:
-    members = fixed_summand.any_summand_members(args.order, args.fixed_index, args.bound)
+    members = fixed_summand.any_summand_members(
+        args.order, args.fixed_index, args.bound,
+        _cap(None, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
     return {"json": lambda: {"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
                              "z": [str(z) for z in members]},
             "text": lambda: " ".join(map(str, members))}

@@ -70,7 +70,8 @@ def largest_summand_rows(n: int, j: int) -> tuple[int, int]:
     return table.term(j) + 1, table.term(j + 1)
 
 
-def any_summand_members(n: int, k: int, bound: int) -> list[int]:
+def any_summand_members(n: int, k: int, bound: int,
+                        scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
     """Ascending integers <= bound whose decomposition contains F(n, k).
 
     Built from the smallest-summand stream: each member q spawns the run
@@ -84,21 +85,27 @@ def any_summand_members(n: int, k: int, bound: int) -> list[int]:
     a correct table F(n, k+a) >= F(n, k-(n-1)) and the check passes. The
     last run is clipped to bound, and the runs are chained as ranges; when
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
-    the answer.
+    the answer. At most scan_limit + 1 bases are drawn, and a member count
+    above `scan_limit` is refused before any run is built.
     """
     require_order(n)
     require_int("fixed index k", k, n)
     require_int("bound", bound, 1)
+    require_int("scan_limit", scan_limit, 0)
     table = get_table(n)
     run_len = table.term(k - (n - 1))
     for a in range(1, n + 1):
         if table.term(k + a) < run_len:
             raise NzeckError(f"overlapping runs for n={n}, k={k}: the step F({n}, {k + a}) "
                              f"is below the run length {_brief(run_len)}")
-    bases = list(takewhile(bound.__ge__, smallest_summand_stream(n, k)))
-    if run_len == 1 or not bases:
+    bases = list(islice(takewhile(bound.__ge__, smallest_summand_stream(n, k)), scan_limit + 1))
+    if not bases:
         return bases
     last = bases[-1]
+    require_at_most("member count", (len(bases) - 1) * run_len + min(run_len, bound + 1 - last),
+                    scan_limit)
+    if run_len == 1:
+        return bases
     out = list(chain.from_iterable(map(range, bases[:-1], map(add, bases, repeat(run_len)))))
     out.extend(range(last, min(last + run_len, bound + 1)))
     return out

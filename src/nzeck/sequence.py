@@ -4,8 +4,9 @@ For a fixed order n >= 2 the sequence starts with n ones,
 F(1) = ... = F(n) = 1, and continues with F(m+1) = F(m) + F(m+1-n).
 Running the same recurrence backward, F(m) = F(m+n) - F(m+n-1), extends
 it to every integer index; the extension is what makes the letter-count
-formulas work at small indices. n = 2 gives the classical Fibonacci
-numbers.
+formulas work at small indices. Indices >= 1 are memoized in a table;
+indices <= 0 come from a companion-polynomial window over the seeds and
+are never stored. n = 2 gives the classical Fibonacci numbers.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_right
 from contextlib import contextmanager
+from operator import mul
 
 from .errors import ScanLimitExceeded, _brief
 
@@ -42,15 +44,46 @@ def require_at_most(what: str, value: int, limit: int,
         raise error(f"{what} {_brief(value)} exceeds the limit {_brief(limit)}")
 
 
-class SequenceTable:
-    """Memoized table of F(n, m) over a growable integer index window.
+def _term_at_or_below_zero(seeds: list[int], m: int) -> int:
+    """F(m) for m <= 0 from the seeds F(1..n), storing nothing.
 
-    The forward window ends at the largest index requested or at the first
-    term above the largest bound searched, and never further: F(n, m) has
+    The shift F(j) -> F(j + 1) satisfies P = x^n - x^(n-1) - 1 at every
+    integer index, so F(m) = sum c_i F(i + 1) where sum c_i x^i is
+    x^(m-1) mod P (C. M. Fiduccia, SIAM J. Comput. 14, 1985). Since
+    x^(n-1) (x - 1) = P + 1, x^-1 = x^(n-1) - x^(n-2) mod P; its power
+    1 - m is taken by squaring, bit by bit from the top, and a set bit
+    multiplies by x^-1, which is a shift: n^2 products per bit of 1 - m.
+    """
+    n = len(seeds)
+    c = [1] + [0] * (n - 1)
+    for bit in bin(1 - m)[2:]:
+        square = [0] * (2 * n - 1)
+        for i, a in enumerate(c):
+            for j, b in enumerate(c):
+                square[i + j] += a * b
+        # x^d = x^(d-1) + x^(d-n) mod P, from the top degree down to n
+        for d in range(2 * n - 2, n - 1, -1):
+            square[d - 1] += square[d]
+            square[d - n] += square[d]
+        c = square[:n]
+        if bit == "1":
+            low = c[0]
+            c = c[1:] + [low]
+            c[n - 2] -= low
+    return sum(map(mul, c, seeds))
+
+
+class SequenceTable:
+    """Memoized table of F(n, m) for m >= 1, over a growable window [1, hi].
+
+    The window ends at the largest index requested or at the first term
+    above the largest bound searched, and never further: F(n, m) has
     Theta(m) bits, so memory grows with the square of the window. Growth is
     the only mutation, only appends, and is guarded by a lock; once an index
     is materialized, reads are pure, so a table may be shared read-only
-    across threads. Values are Python ints (arbitrary precision).
+    across threads. Terms at indices <= 0 come from the window over the
+    seeds on each call and are never stored, so `lo` is always 1. Values
+    are Python ints (arbitrary precision).
     """
 
     def __init__(self, n: int):
@@ -58,36 +91,24 @@ class SequenceTable:
         self.n = n
         # _fwd[m] = F(m) for 1 <= m <= hi; slot 0 unused
         self._fwd: list[int] = [0] + [1] * n
-        # _back[k] = F(-k) for 0 <= k <= -lo
-        self._back: list[int] = []
         self._lock = threading.Lock()
+
+    lo = 1
 
     @property
     def hi(self) -> int:
         return len(self._fwd) - 1
 
-    @property
-    def lo(self) -> int:
-        return 1 - len(self._back)
-
     def term(self, m: int) -> int:
-        """F(n, m) for any integer m, extending the window on demand."""
+        """F(n, m) for any integer m: m >= 1 from the table, extending the
+        window on demand; m <= 0 from the seeds, with no lock and nothing
+        stored."""
+        fwd = self._fwd
         if m >= 1:
-            fwd = self._fwd
             if m >= len(fwd):
                 self.forward_through(m)
             return fwd[m]
-        back = self._back
-        if -m >= len(back):
-            with self._lock:
-                fwd = self._fwd
-                while len(back) <= -m:
-                    # F(j - n) = F(j) - F(j - 1) with j <= n: each read is a
-                    # seed of _fwd or a backward term filled before
-                    j = self.n - len(back)
-                    back.append((fwd[j] if j >= 1 else back[-j])
-                                - (fwd[j - 1] if j >= 2 else back[1 - j]))
-        return back[-m]
+        return _term_at_or_below_zero(fwd[1:self.n + 1], m)
 
     def forward_through(self, m: int) -> list[int]:
         """The forward list (entry m is F(m), slot 0 unused), grown just
@@ -127,12 +148,12 @@ class SequenceTable:
     def stats(self) -> dict[str, int]:
         """The window {"lo", "hi"} and "approx_bytes": the magnitudes of the
         stored terms, each rounded up to whole bytes, summed; object headers
-        are not counted. Computed on each call, in one pass over the table.
+        are not counted. "lo" is always 1: terms at indices <= 0 are never
+        stored. Computed on each call, in one pass over the table.
         """
         with self._lock:
-            terms = self._fwd[1:] + self._back
-            lo, hi = self.lo, self.hi
-        return {"lo": lo, "hi": hi,
+            terms = self._fwd[1:]
+        return {"lo": self.lo, "hi": len(terms),
                 "approx_bytes": sum((abs(t).bit_length() + 7) // 8 for t in terms)}
 
     def __repr__(self) -> str:
@@ -180,8 +201,9 @@ def perturbed_table(n: int, m: int, delta: int = 1):
 
     Used by the harness self-checks: a single corrupted value must be caught
     by at least one consistency check. The corruption propagates into values
-    grown after the swap, which is intended. Only forward indices (m >= 1)
-    can be perturbed.
+    grown after the swap, which is intended; a corrupted seed (m <= n) also
+    reaches every index <= 0, since the window reads the table's seeds.
+    Only forward indices (m >= 1) can be perturbed.
     """
     require_order(n)
     require_int("index m", m, 1)

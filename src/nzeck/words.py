@@ -187,8 +187,9 @@ def count_block(n: int, m: int) -> list[int]:
 
     Entry i-1 counts letter a_i: F(n, m-(n+i-1)) for i < n and
     F(n, m-(n-1)) for i = n. Needs the backward extension of the sequence
-    when m is small. Reads just those n terms, so the table grows only
-    through F(m-n+1). Does not build the block.
+    when m is small; terms at indices <= 0 come from the sequence's window
+    over the seeds and are never stored. Reads just those n terms, so the
+    table grows only through F(m-n+1). Does not build the block.
     """
     require_order(n)
     require_int("block index", m, 1)
@@ -234,7 +235,7 @@ def _shifted_sums(fwd: list[int], n: int, indices: list[int], shift: int, first:
     adds F(e + 1) G_0 + sum_j F(e - n + 1 + j) G_j to H_s: n products of
     table terms per sum. They read F(d - 2n + 3) to F(d - first + 1); F is
     zero at the indices 2 - n..0, which are skipped, so no read reaches
-    slot 0 or the backward store.
+    slot 0 or an index below it.
     """
     k = len(indices)
     if k < 2 or (n - 1) * k * fwd[indices[-1] - shift].bit_length() <= split_work:

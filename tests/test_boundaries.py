@@ -18,7 +18,7 @@ TELESCOPING_BELOW = "need m >= 1, v >= 1, 1 <= u <= n; got m={m}, v={v}, u={u}"
 
 # function: valid keyword arguments
 VALID = {
-    nzeck.any_summand_members: dict(n=3, k=4, bound=30),
+    nzeck.any_summand_members: dict(n=3, k=4, bound=30, scan_limit=100),
     nzeck.any_summand_scan: dict(n=3, k=4, bound=30, scan_limit=100),
     nzeck.block: dict(n=3, m=9, length_cap=100),
     nzeck.brute_force_decompositions: dict(n=3, value=5, max_index=8),
@@ -48,6 +48,7 @@ NO_INTEGER_ARGUMENT = {"format_letters"}
 ARGUMENTS = [
     (nzeck.any_summand_members, "k", "fixed index k", 3),
     (nzeck.any_summand_members, "bound", "bound", 1),
+    (nzeck.any_summand_members, "scan_limit", "scan_limit", 0),
     (nzeck.any_summand_scan, "k", "fixed index k", 3),
     (nzeck.any_summand_scan, "bound", "bound", None),
     (nzeck.any_summand_scan, "scan_limit", "scan_limit", 0),
@@ -135,6 +136,8 @@ HUGE_ARGUMENTS = [
      nzeck.ScanLimitExceeded, "prefix length a 101-digit integer exceeds the limit 10000000"),
     ("smallest_summand_scan-bound", lambda: nzeck.smallest_summand_scan(3, 3, HUGE),
      nzeck.ScanLimitExceeded, "scan bound a 5001-digit integer exceeds the limit 10000000"),
+    ("any_summand_members-bound", lambda: nzeck.any_summand_members(3, 4, HUGE, scan_limit=100),
+     nzeck.ScanLimitExceeded, "member count 101 exceeds the limit 100"),
     ("any_summand_scan-bound", lambda: nzeck.any_summand_scan(3, 3, HUGE),
      nzeck.ScanLimitExceeded, "flag count a 5001-digit integer exceeds the limit 10000000"),
     ("block-m", lambda: nzeck.block(3, HUGE), nzeck.BlockTooLarge,

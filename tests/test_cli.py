@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import tracemalloc
 from itertools import islice
 from pathlib import Path
@@ -341,6 +342,28 @@ def test_qseq_refuses_a_count_above_the_default_scan_limit_before_drawing(capsys
     # the limit itself is drawn
     code, _, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", str(DEFAULT_SCAN_LIMIT))
     assert (code, drawn) == (0, [(3, 4, DEFAULT_SCAN_LIMIT)])
+
+
+def test_zset_member_count_is_held_to_the_scan_limit(capsys, monkeypatch):
+    monkeypatch.setenv("NZECK_SCAN_LIMIT", "1000")
+    code, _, err = run(capsys, "zset", "-n", "3", "-k", "4", "--bound", "100000")
+    assert (code, err) == (1, "error: ScanLimitExceeded: member count 1001 "
+                              "exceeds the limit 1000\n")
+    # a big k is sparse: F(3, 30) = 39865 starts one run of 136 members up to the bound
+    code, out, _ = run(capsys, "zset", "-n", "3", "-k", "30", "--bound", "40000")
+    assert (code, out) == (0, " ".join(map(str, range(39865, 40001))) + "\n")
+
+
+def test_term_a_million_below_zero_prints_quickly(capsys):
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "term", "-n", "3", "-m", "-1000000", "--format", "json")
+    assert time.perf_counter() - start < 2
+    assert code == 0
+    payload = json.loads(out)
+    assert (payload["n"], payload["m"]) == (3, -1000000)
+    value = term(3, -1000000)
+    assert payload["value"].startswith("-") == (value < 0)
+    assert from_digits(payload["value"].lstrip("-")) == abs(value)
 
 
 def test_length_cap_env_override(capsys, monkeypatch):

@@ -173,6 +173,33 @@ def test_any_summand_members_refuses_a_bad_step_whose_letter_is_not_drawn(monkey
         any_summand_members(3, 8, 49)
 
 
+def test_any_summand_members_refuse_a_member_count_above_the_scan_limit():
+    # n = 3, k = 8: runs of 4, so 9..12 and 37..38 are 6 members
+    assert any_summand_members(3, 8, 38, scan_limit=6) == [9, 10, 11, 12, 37, 38]
+    with pytest.raises(ScanLimitExceeded, match="^member count 6 exceeds the limit 5$"):
+        any_summand_members(3, 8, 38, scan_limit=5)
+    # single-member runs: 2, 8, 11, 15 up to 20; the bound itself is above the limit
+    assert any_summand_members(3, 4, 20, scan_limit=4) == [2, 8, 11, 15]
+    with pytest.raises(ScanLimitExceeded, match="^member count 4 exceeds the limit 3$"):
+        any_summand_members(3, 4, 20, scan_limit=3)
+
+
+@pytest.mark.parametrize("k,members", [(4, 11), (8, 44)])
+def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypatch, k, members):
+    # runs of 1 (k = 4) and of 4 (k = 8) members
+    drawn = []
+
+    def counted(n, k):
+        for q in smallest_summand_stream(n, k):
+            drawn.append(q)
+            yield q
+
+    monkeypatch.setattr(fixed_summand, "smallest_summand_stream", counted)
+    with pytest.raises(ScanLimitExceeded, match=f"^member count {members} exceeds the limit 10$"):
+        any_summand_members(3, k, 10**5000, scan_limit=10)
+    assert len(drawn) == 11
+
+
 def test_any_summand_scan_domain():
     # a bound below 1 scans nothing, including the bounds that a
     # bytearray(bound + 1) would refuse

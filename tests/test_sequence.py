@@ -156,7 +156,8 @@ def test_concurrent_backward_reads_match_serial_reads():
     finally:
         sys.setswitchinterval(interval)
     assert results == expected
-    assert shared.lo == -400
+    # indices <= 0 are computed, never stored
+    assert shared.stats() == {"lo": 1, "hi": 3, "approx_bytes": 3}
 
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
@@ -167,8 +168,37 @@ def test_deep_backward_terms_match_a_plain_loop(n):
         values.append(values[-n] - values[1 - n])
     fresh = SequenceTable(n)
     assert fresh.term(-5000) == values[-1]
-    assert fresh.lo == -5000
-    assert [fresh.term(n - k) for k in range(len(values))] == values
+    # every index is a window call of its own, so sample the 5000 steps
+    last = len(values) - 1
+    sample = sorted({*range(0, last, 97), *range(2 * n), *range(last - n, last + 1)})
+    assert [fresh.term(n - k) for k in sample] == [values[k] for k in sample]
+    assert (fresh.lo, fresh.hi) == (1, n)
+
+
+def test_fibonacci_at_negative_indices_is_the_signed_mirror():
+    # F(-k) = (-1)^(k+1) F(k) for n = 2, against a forward table
+    k = 20000
+    assert SequenceTable(2).term(-k) == (-1) ** (k + 1) * SequenceTable(2).term(k)
+
+
+def test_a_term_a_million_below_zero_keeps_the_recurrence_and_stores_nothing():
+    n, m = 3, -10**6
+    fresh = SequenceTable(n)
+    before = fresh.stats()
+    assert fresh.term(m) == fresh.term(m + n) - fresh.term(m + n - 1)
+    assert fresh.stats() == before
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+@pytest.mark.parametrize("seed", [1, 2])
+def test_a_perturbed_seed_reaches_indices_below_one(n, seed):
+    clean = [term(n, m) for m in range(-3 * n, 1)]
+    with sequence.perturbed_table(n, seed, 5):
+        broken = [term(n, m) for m in range(-3 * n, 1)]
+        # the corrupted table still satisfies the recurrence through index 1
+        for m in range(-3 * n, 1):
+            assert term(n, m + n) == term(n, m + n - 1) + term(n, m)
+    assert broken != clean
 
 
 def test_stats_report_the_window_and_term_bytes():
@@ -176,5 +206,6 @@ def test_stats_report_the_window_and_term_bytes():
     assert fresh.stats() == {"lo": 1, "hi": 3, "approx_bytes": 3}
     fresh.term(500)
     fresh.term(-5)
-    expected = sum((abs(term(3, m)).bit_length() + 7) // 8 for m in range(-5, 501))
-    assert fresh.stats() == {"lo": -5, "hi": 500, "approx_bytes": expected}
+    expected = sum((abs(term(3, m)).bit_length() + 7) // 8 for m in range(1, 501))
+    assert fresh.stats() == {"lo": 1, "hi": 500, "approx_bytes": expected}
+    assert repr(fresh) == "SequenceTable(n=3, window=[1, 500])"
