@@ -85,8 +85,10 @@ def any_summand_members(n: int, k: int, bound: int,
     a correct table F(n, k+a) >= F(n, k-(n-1)) and the check passes. The
     last run is clipped to bound, and the runs are chained as ranges; when
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
-    the answer. At most scan_limit + 1 bases are drawn, and a member count
-    above `scan_limit` is refused before any run is built.
+    the answer. A member count above `scan_limit` is refused before any
+    run is built, after at most (scan_limit - 1) // run length + 2 bases
+    are drawn: that many already make more than scan_limit members. A run
+    length below 1, which only a corrupted table gives, is refused first.
     """
     require_order(n)
     require_int("fixed index k", k, n)
@@ -94,11 +96,17 @@ def any_summand_members(n: int, k: int, bound: int,
     require_int("scan_limit", scan_limit, 0)
     table = get_table(n)
     run_len = table.term(k - (n - 1))
+    if run_len < 1:
+        raise NzeckError(f"empty runs for n={n}, k={k}: the run length "
+                         f"F({n}, {k - (n - 1)}) is {_brief(run_len)}")
     for a in range(1, n + 1):
         if table.term(k + a) < run_len:
             raise NzeckError(f"overlapping runs for n={n}, k={k}: the step F({n}, {k + a}) "
                              f"is below the run length {_brief(run_len)}")
-    bases = list(islice(takewhile(bound.__ge__, smallest_summand_stream(n, k)), scan_limit + 1))
+    # b = (scan_limit - 1) // run_len + 2 bases hold at least
+    # (b - 1) * run_len + 1 > scan_limit members, so b decide the refusal
+    cap = (scan_limit - 1) // run_len + 2
+    bases = list(islice(takewhile(bound.__ge__, smallest_summand_stream(n, k)), cap))
     if not bases:
         return bases
     last = bases[-1]

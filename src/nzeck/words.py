@@ -21,24 +21,26 @@ a prefix (`_prefix_text`, behind `nzeck string`) walks the same leaf
 indices and joins a text leaf per whole leaf, built by the same rewriting.
 
 Letter counts of a prefix (`count_prefix`) are n - 1 sums of shifted terms
-over the decomposition indices of its length (`_shifted_sums`). Below the
-split rule they are plain sums; typical lengths pass the rule from about
-1850 digits at n = 2, 1400 at n = 3 and 850 at n = 8. Above it the indices
-split at their middle: the upper half is summed at a shift that keeps its
-terms small, then moved back up by the companion-matrix identity
+over the decomposition indices of its length. For orders n <= 5 and lengths
+of more than SUMS_LEAF_BITS bits they come with the decomposition from the
+certified split of `decomposition._walk`: each split moves the sums of its
+upper part up by the companion-matrix identity
 F(a + e) = F(e + 1) F(a) + sum_(j=1..n-1) F(e - n + 1 + j) F(a - j)
-(Fiduccia, SIAM J. Comput. 14, 1985): about n^2 products per split in
-place of additions of full-size terms.
+(Fiduccia, SIAM J. Comput. 14, 1985), about n^2 products of half-size
+terms, and only the leaves are summed term by term. Otherwise
+(`_shifted_sums`) they are plain sums below a split rule, which typical
+lengths pass from about 850 digits at n = 8, and above it the indices split
+at their middle and the upper half is moved up by the same identity.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain, count
-from operator import mul, sub
+from operator import sub
 from typing import Iterator, Sequence
 
-from .decomposition import decompose
+from .decomposition import SPLIT_MAX_ORDER, SUMS_LEAF_BITS, _lift, _walk, decompose
 from .errors import BlockTooLarge, _brief
 from .sequence import get_table, require_at_most, require_int, require_order
 
@@ -175,7 +177,7 @@ def char_at(n: int, pos: int) -> int:
     decomposition indices of pos, so its last letter is the last letter of
     the block at the smallest index c. The rewriting makes last letters
     periodic in c with period n (last of B(c) = last of B(c-n)), giving
-    last(B(c)) = ((c - 1) mod n) + 1. Cost is one greedy decomposition.
+    last(B(c)) = ((c - 1) mod n) + 1. Cost is one `decompose`.
     """
     require_int("position", pos, 1)
     smallest = decompose(n, pos)[0]
@@ -204,17 +206,22 @@ def count_prefix(n: int, length: int) -> list[int]:
     Let T_s be the sum of F(c - s) over those indices c, so T_0 = length.
     F(m) = F(m-1) + F(m-n) at every integer m gives T_(s+n) = T_s - T_(s+1),
     so letter a_i counts T_(i-1) - T_i for i < n and a_n counts T_(n-1).
-    `_shifted_sums` computes T_1..T_(n-1) from forward terms alone (c - s
-    >= 1 since c >= n), read from the table `decompose` grew. Below its
-    split rule that is n - 1 plain sums; above it, the upper half of the
-    indices is summed at a shift and moved up through the companion
-    matrix: at 6000 digits the sums take a quarter to two fifths of the
-    plain sums' time for n = 3..8.
+    T_1..T_(n-1) come from forward terms alone (c - s >= 1 since c >= n),
+    read from the table grown past `length`. For n <= SPLIT_MAX_ORDER and
+    lengths of more than SUMS_LEAF_BITS bits, `decomposition._walk` returns
+    them with the decomposition: T_j(R) = T_j(L) + the kept upper part's
+    sums lifted by s - j at every split. At 6000 digits that takes 0.4-0.66
+    of the time of `decompose` plus `_shifted_sums` for n = 2..5. Otherwise
+    `_shifted_sums` computes them over the indices `decompose` returns.
     """
     table = get_table(n)
     require_int("prefix length", length, 0)
-    indices = decompose(n, length)
-    sums = [length, *_shifted_sums(table.forward_past(length), n, indices, 0, 1), 0]
+    fwd = table.forward_past(length)
+    if n <= SPLIT_MAX_ORDER and length >> SUMS_LEAF_BITS:
+        sums = _walk(fwd, n, length, 0, [], True)
+    else:
+        sums = [length, *_shifted_sums(fwd, n, decompose(n, length), 0, 1)]
+    sums.append(0)
     return list(map(sub, sums, sums[1:]))
 
 
@@ -230,12 +237,11 @@ def _shifted_sums(fwd: list[int], n: int, indices: list[int], shift: int, first:
     the low half of the indices keeps the shift and the high half is
     summed at t = (its smallest index) - n: G_j = the sum of F(c - t - j),
     j = 0..n-1, whose terms are small. With d = t - shift >= n and
-    e = d - s, the companion-matrix identity at a = c - t,
-    F(a + e) = F(e + 1) F(a) + sum_(j=1..n-1) F(e - n + 1 + j) F(a - j),
-    adds F(e + 1) G_0 + sum_j F(e - n + 1 + j) G_j to H_s: n products of
-    table terms per sum. They read F(d - 2n + 3) to F(d - first + 1); F is
-    zero at the indices 2 - n..0, which are skipped, so no read reaches
-    slot 0 or an index below it.
+    e = d - s, `decomposition._lift` moves them up by e, the
+    companion-matrix identity at a = c - t, and adds the sum of F(a + e)
+    to H_s: n products of table terms per sum. They read F(d - 2n + 3) to
+    F(d - first + 1); F is zero at the indices 2 - n..0, which are skipped,
+    so no read reaches slot 0 or an index below it.
     """
     k = len(indices)
     if k < 2 or (n - 1) * k * fwd[indices[-1] - shift].bit_length() <= split_work:
@@ -243,12 +249,9 @@ def _shifted_sums(fwd: list[int], n: int, indices: list[int], shift: int, first:
     sums = _shifted_sums(fwd, n, indices[:k // 2], shift, first, split_work)
     high = indices[k // 2:]
     t = high[0] - n
-    g0, *g = _shifted_sums(fwd, n, high, t, 0, split_work)
+    g = _shifted_sums(fwd, n, high, t, 0, split_work)
     for s in range(first, n):
-        e = t - shift - s
-        # g[j - 1] = G_j pairs with F(e - n + 1 + j), read from index lo up
-        lo = max(e - n + 2, 1)
-        sums[s - first] += fwd[e + 1] * g0 + sum(map(mul, fwd[lo:e + 1], g[lo - e + n - 2:]))
+        sums[s - first] += _lift(fwd, n, t - shift - s, g)
     return sums
 
 

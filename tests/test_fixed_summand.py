@@ -7,7 +7,7 @@ import pytest
 
 from nzeck import (NzeckError, fixed_summand, ScanLimitExceeded, any_summand_members,
                    any_summand_scan, decompose, get_table,
-                   largest_summand_rows,
+                   largest_summand_rows, perturbed_table,
                    smallest_summand_members, smallest_summand_scan,
                    smallest_summand_stream, stream, telescoping_identity, term)
 from nzeck.decomposition import successive_decompositions
@@ -184,9 +184,8 @@ def test_any_summand_members_refuse_a_member_count_above_the_scan_limit():
         any_summand_members(3, 4, 20, scan_limit=3)
 
 
-@pytest.mark.parametrize("k,members", [(4, 11), (8, 44)])
-def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypatch, k, members):
-    # runs of 1 (k = 4) and of 4 (k = 8) members
+def _count_draws(monkeypatch):
+    """The bases `any_summand_members` draws, through a wrapped stream."""
     drawn = []
 
     def counted(n, k):
@@ -195,9 +194,35 @@ def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypat
             yield q
 
     monkeypatch.setattr(fixed_summand, "smallest_summand_stream", counted)
+    return drawn
+
+
+# runs of 1 (k = 4) and of 4 (k = 8) members: (10 - 1) // 1 + 2 = 11 and
+# (10 - 1) // 4 + 2 = 4 bases, whose runs hold 11 and 16 members
+@pytest.mark.parametrize("k,members,bases", [(4, 11, 11), (8, 16, 4)])
+def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypatch, k, members,
+                                                                       bases):
+    drawn = _count_draws(monkeypatch)
     with pytest.raises(ScanLimitExceeded, match=f"^member count {members} exceeds the limit 10$"):
         any_summand_members(3, k, 10**5000, scan_limit=10)
-    assert len(drawn) == 11
+    assert len(drawn) == bases
+
+
+def test_any_summand_members_draw_bases_by_the_run_length(monkeypatch):
+    # runs of F(3, 7) = 6: 166668 bases already hold 1000008 members
+    drawn = _count_draws(monkeypatch)
+    with pytest.raises(ScanLimitExceeded, match="^member count 1000008 exceeds the limit 1000000$"):
+        any_summand_members(3, 9, 10**30, scan_limit=10**6)
+    assert len(drawn) == (10**6 - 1) // 6 + 2 == 166668
+
+
+def test_any_summand_members_refuse_an_empty_run():
+    # F(3, 1) stored as 0 makes every run of k = 3 empty; it is refused
+    # before the run length divides anything
+    with perturbed_table(3, 1, -1):
+        with pytest.raises(NzeckError, match=re.escape(
+                "empty runs for n=3, k=3: the run length F(3, 1) is 0")):
+            any_summand_members(3, 3, 100)
 
 
 def test_any_summand_scan_domain():

@@ -7,8 +7,8 @@ import pytest
 
 from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
                    SequenceTable, block, char_at, count_block, count_prefix,
-                   count_prefix_scan, decompose, format_letters, get_table,
-                   sequence, stream, stream_chunks, term, words)
+                   count_prefix_scan, decompose, decomposition, format_letters,
+                   get_table, sequence, stream, stream_chunks, term, words)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -221,21 +221,25 @@ def test_count_prefix_matches_scan_at_small_indices(n, monkeypatch):
 
 
 class SplitDepth:
-    """Wraps `words._shifted_sums` (its recursion calls go through the
-    module name) and records how many splits deep it went."""
+    """Wraps a module's function (recursion calls go through the module
+    name) and records how deep its calls nest: `deepest` is 0 for calls
+    that never nest, and `results` keeps every return value."""
 
-    def __init__(self, monkeypatch):
-        self.inner = words._shifted_sums
+    def __init__(self, monkeypatch, module, name):
+        self.inner = getattr(module, name)
         self.level = self.deepest = 0
-        monkeypatch.setattr(words, "_shifted_sums", self)
+        self.results = []
+        monkeypatch.setattr(module, name, self)
 
     def __call__(self, *args):
         self.level += 1
         self.deepest = max(self.deepest, self.level - 1)
         try:
-            return self.inner(*args)
+            result = self.inner(*args)
         finally:
             self.level -= 1
+        self.results.append(result)
+        return result
 
 
 # the scans stop at 10**4 letters; above that the shifted sums are held to
@@ -259,11 +263,18 @@ def test_count_prefix_sums_count_block_over_big_decompositions(n, monkeypatch,
     decompose(n, dense)
     grown = table.hi
     table = sequence._TABLES[n] = SequenceTable(n)
-    depth = SplitDepth(monkeypatch)
+    # n <= 5 takes the sums from decompose's certified split, whose splits
+    # nest inside the upper parts they decompose; n >= 6 splits the sums
+    split = n <= decomposition.SPLIT_MAX_ORDER
+    depth = (SplitDepth(monkeypatch, decomposition, "_split") if split
+             else SplitDepth(monkeypatch, words, "_shifted_sums"))
     assert sum(count_prefix(n, dense)) == dense
     # the split reads no term beyond those decompose grows, and no backward one
     assert (table.lo, table.hi) == (1, grown)
-    assert depth.deepest >= 3
+    if split:
+        assert depth.deepest >= 2 and None not in depth.results
+    else:
+        assert depth.deepest >= 3
     for i, length in enumerate(lengths):
         counts = count_prefix(n, length)
         blocks = [count_block(n, c) for c in decompose(n, length)]
