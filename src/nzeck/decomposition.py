@@ -46,6 +46,7 @@ SUMS_LEAF_BITS = 4000
 GREEDY_PICKS = 8
 UNDERSHOOT = 64
 TRUST_BITS = 32
+SPLIT_WORK = 15_000_000
 
 
 def decompose(n: int, value: int) -> list[int]:
@@ -206,6 +207,44 @@ def _split(fwd: list[int], n: int, remainder: int, c: int, offset: int, out: lis
             return rest, lowest - n, g, s
     del out[mark:]
     return None
+
+
+def _decomposition_sums(fwd: list[int], n: int, value: int) -> list[int]:
+    """T_0..T_(n-1) of value's decomposition, T_s being the sum of F(c - s)
+    over its indices c (so T_0 = value), from `fwd`, the table grown past
+    value. For n <= SPLIT_MAX_ORDER and values of more than SUMS_LEAF_BITS
+    bits `_walk` returns them with the decomposition, adding each split's
+    upper sums lifted by s - j to T_j: at 6000 digits 0.4-0.66 of the time
+    of the other path, `_shifted_sums` over `decompose`'s indices."""
+    if n <= SPLIT_MAX_ORDER and value >> SUMS_LEAF_BITS:
+        return _walk(fwd, n, value, 0, [], True)
+    return [value, *_shifted_sums(fwd, n, decompose(n, value), 0, 1)]
+
+
+def _shifted_sums(fwd: list[int], n: int, indices: list[int], shift: int,
+                  first: int) -> list[int]:
+    """H_s = the sum of F(c - shift - s) over the ascending `indices`, for
+    s = first..n-1, where every c - shift >= n.
+
+    While (n - 1) * len(indices) * (bit length of the top term), the bits
+    the plain sums add, is at most SPLIT_WORK, these are n - first plain
+    sums in ascending order, so each big-int addition costs about the size
+    of the term it adds. Above it, the low half of the indices keeps the
+    shift and the high half is summed at t = (its smallest index) - n, as
+    G_j = the sum of F(c - t - j) for j = 0..n-1, small terms that `_lift`
+    moves up by t - shift - s >= 0 into H_s: n products per sum, which read
+    no index below 1 and none above the top index's term.
+    """
+    k = len(indices)
+    if k < 2 or (n - 1) * k * fwd[indices[-1] - shift].bit_length() <= SPLIT_WORK:
+        return [sum([fwd[c - s] for c in indices]) for s in range(shift + first, shift + n)]
+    sums = _shifted_sums(fwd, n, indices[:k // 2], shift, first)
+    high = indices[k // 2:]
+    t = high[0] - n
+    g = _shifted_sums(fwd, n, high, t, 0)
+    for s in range(first, n):
+        sums[s - first] += _lift(fwd, n, t - shift - s, g)
+    return sums
 
 
 def successive_decompositions(n: int) -> Iterator[list[int]]:

@@ -48,15 +48,13 @@ class CheckReport:
     0.9 ms.
     """
 
-    def __init__(self, check_id: str, parameters: dict, cases_run: int = 0,
-                 failures: list | None = None, failures_total: int = 0,
-                 elapsed_s: float = 0.0) -> None:
+    def __init__(self, check_id: str, parameters: dict) -> None:
         self.check_id = check_id
         self.parameters = parameters
-        self.cases_run = cases_run
-        self.failures = [] if failures is None else failures
-        self.failures_total = failures_total
-        self.elapsed_s = elapsed_s
+        self.cases_run = 0
+        self.failures: list = []
+        self.failures_total = 0
+        self.elapsed_s = 0.0
         self._started = perf_counter()
 
     def _compared(self) -> tuple:
@@ -279,22 +277,22 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     return report.done()
 
 
-def _word_prefix(n: int, length: int, length_cap: int = DEFAULT_LENGTH_CAP) -> Iterator[int]:
-    """The word's first `length` letters; a length above `length_cap` is
-    refused before any letter is drawn."""
-    require_at_most("prefix length", length, length_cap, BlockTooLarge)
+def _word_prefix(n: int, length: int) -> Iterator[int]:
+    """The word's first `length` letters; a length above DEFAULT_LENGTH_CAP
+    is refused before any letter is drawn."""
+    require_at_most("prefix length", length, DEFAULT_LENGTH_CAP, BlockTooLarge)
     return islice(stream(n), length)
 
 
-def _staircase_pair(n: int, indices: range, length_cap: int = DEFAULT_LENGTH_CAP) -> tuple:
+def _staircase_pair(n: int, indices: range) -> tuple:
     """The word's prefix of length sum F(c) over `indices`, by the table,
     and the blocks at `indices` concatenated, both in the blocks' type. The
-    top block is built first, so a top index above the cap is refused
-    before the table grows to it, and a staircase above the cap before the
-    rest is built."""
-    top = block(n, indices[0], length_cap)
-    prefix = type(top)(_word_prefix(n, sum(map(get_table(n).term, indices)), length_cap))
-    return prefix, _joined([top] + [block(n, c, length_cap) for c in indices[1:]])
+    top block is built first, so a top index above DEFAULT_LENGTH_CAP is
+    refused before the table grows to it, and a staircase above it before
+    the rest is built."""
+    top = block(n, indices[0], DEFAULT_LENGTH_CAP)
+    prefix = type(top)(_word_prefix(n, sum(map(get_table(n).term, indices))))
+    return prefix, _joined([top] + [block(n, c, DEFAULT_LENGTH_CAP) for c in indices[1:]])
 
 
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
@@ -414,10 +412,10 @@ def check_fixed_summand(n_range: Iterable[int] = (3, 4), max_k_offset: int = 6,
     return report.done()
 
 
-def _row_tops(n: int, k: int, rows: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
+def _row_tops(n: int, k: int, rows: int) -> list[int]:
     """The largest index of each of the first `rows` smallest-summand
-    members for k; more than `scan_limit` rows are refused."""
-    require_at_most("row count", rows, scan_limit)
+    members for k; more than DEFAULT_SCAN_LIMIT rows are refused."""
+    require_at_most("row count", rows, DEFAULT_SCAN_LIMIT)
     return [decompose(n, q)[-1] for q in smallest_summand_members(n, k, rows)]
 
 

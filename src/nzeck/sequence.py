@@ -16,7 +16,7 @@ from bisect import bisect_right
 from contextlib import contextmanager
 from operator import mul
 
-from .errors import ScanLimitExceeded, _brief
+from .errors import IndexNotFound, ScanLimitExceeded, _brief
 
 
 def require_order(n: int) -> None:
@@ -119,6 +119,8 @@ class SequenceTable:
                 n = self.n
                 while len(fwd) <= m:
                     fwd.append(fwd[-1] + fwd[len(fwd) - n])
+                    if fwd[-1] <= 0:
+                        self._refuse()
         return fwd
 
     def forward_past(self, bound: int) -> list[int]:
@@ -134,7 +136,17 @@ class SequenceTable:
                 n = self.n
                 while fwd[-1] <= bound:
                     fwd.append(fwd[-1] + fwd[len(fwd) - n])
+                    if fwd[-1] <= 0:
+                        self._refuse()
         return fwd
+
+    def _refuse(self) -> None:
+        """Drop the term growth just appended, which is not positive, and
+        raise IndexNotFound naming its index. Only a corrupted table makes
+        one, and refusing it ends every growth: n appends past the last
+        stored term, every addend is a positive appended term."""
+        t, n = self._fwd.pop(), self.n
+        raise IndexNotFound(f"term {len(self._fwd)} of order {n} is {_brief(t)}, not positive")
 
     def largest_index_at_most(self, bound: int) -> int:
         """Largest index c >= n with F(c) <= bound.

@@ -20,17 +20,9 @@ table, so the stream stays an independent oracle for both. The text form of
 a prefix (`_prefix_text`, behind `nzeck string`) walks the same leaf
 indices and joins a text leaf per whole leaf, built by the same rewriting.
 
-Letter counts of a prefix (`count_prefix`) are n - 1 sums of shifted terms
-over the decomposition indices of its length. For orders n <= 5 and lengths
-of more than SUMS_LEAF_BITS bits they come with the decomposition from the
-certified split of `decomposition._walk`: each split moves the sums of its
-upper part up by the companion-matrix identity
-F(a + e) = F(e + 1) F(a) + sum_(j=1..n-1) F(e - n + 1 + j) F(a - j)
-(Fiduccia, SIAM J. Comput. 14, 1985), about n^2 products of half-size
-terms, and only the leaves are summed term by term. Otherwise
-(`_shifted_sums`) they are plain sums below a split rule, which typical
-lengths pass from about 850 digits at n = 8, and above it the indices split
-at their middle and the upper half is moved up by the same identity.
+Letter counts of a prefix (`count_prefix`) are differences of the shifted
+sums T_s of F(c - s) over the decomposition indices c of its length;
+`decomposition._decomposition_sums` computes them.
 """
 
 from __future__ import annotations
@@ -40,16 +32,13 @@ from itertools import chain, count
 from operator import sub
 from typing import Iterator, Sequence
 
-from .decomposition import SPLIT_MAX_ORDER, SUMS_LEAF_BITS, _lift, _walk, decompose
+from .decomposition import _decomposition_sums, decompose
 from .errors import BlockTooLarge, _brief
 from .sequence import get_table, require_at_most, require_int, require_order
 
 DEFAULT_LENGTH_CAP = 10**7
 DEFAULT_SCAN_LIMIT = 10**7
 CHUNK_LETTERS = 4096
-# `_shifted_sums` splits a run when (n - 1) * its length * its top term's bit
-# length exceeds this: the work of its plain sums, in bits added
-SPLIT_WORK = 15_000_000
 
 
 def _letters(n: int) -> type:
@@ -206,53 +195,13 @@ def count_prefix(n: int, length: int) -> list[int]:
     Let T_s be the sum of F(c - s) over those indices c, so T_0 = length.
     F(m) = F(m-1) + F(m-n) at every integer m gives T_(s+n) = T_s - T_(s+1),
     so letter a_i counts T_(i-1) - T_i for i < n and a_n counts T_(n-1).
-    T_1..T_(n-1) come from forward terms alone (c - s >= 1 since c >= n),
-    read from the table grown past `length`. For n <= SPLIT_MAX_ORDER and
-    lengths of more than SUMS_LEAF_BITS bits, `decomposition._walk` returns
-    them with the decomposition: T_j(R) = T_j(L) + the kept upper part's
-    sums lifted by s - j at every split. At 6000 digits that takes 0.4-0.66
-    of the time of `decompose` plus `_shifted_sums` for n = 2..5. Otherwise
-    `_shifted_sums` computes them over the indices `decompose` returns.
+    `decomposition._decomposition_sums` computes T_0..T_(n-1).
     """
     table = get_table(n)
     require_int("prefix length", length, 0)
-    fwd = table.forward_past(length)
-    if n <= SPLIT_MAX_ORDER and length >> SUMS_LEAF_BITS:
-        sums = _walk(fwd, n, length, 0, [], True)
-    else:
-        sums = [length, *_shifted_sums(fwd, n, decompose(n, length), 0, 1)]
+    sums = _decomposition_sums(table.forward_past(length), n, length)
     sums.append(0)
     return list(map(sub, sums, sums[1:]))
-
-
-def _shifted_sums(fwd: list[int], n: int, indices: list[int], shift: int, first: int,
-                  split_work: int = SPLIT_WORK) -> list[int]:
-    """H_s = the sum of F(c - shift - s) over the ascending `indices`, for
-    s = first..n-1, where every c - shift >= n and `fwd` is the forward list.
-
-    Below the split rule, (n - 1) * len(indices) * (bit length of the top
-    term) <= split_work, these are n - first plain sums, each in ascending
-    order, so its running total stays below the next term up and each
-    big-int addition costs about the size of the term it adds. Above it,
-    the low half of the indices keeps the shift and the high half is
-    summed at t = (its smallest index) - n: G_j = the sum of F(c - t - j),
-    j = 0..n-1, whose terms are small. With d = t - shift >= n and
-    e = d - s, `decomposition._lift` moves them up by e, the
-    companion-matrix identity at a = c - t, and adds the sum of F(a + e)
-    to H_s: n products of table terms per sum. They read F(d - 2n + 3) to
-    F(d - first + 1); F is zero at the indices 2 - n..0, which are skipped,
-    so no read reaches slot 0 or an index below it.
-    """
-    k = len(indices)
-    if k < 2 or (n - 1) * k * fwd[indices[-1] - shift].bit_length() <= split_work:
-        return [sum([fwd[c - s] for c in indices]) for s in range(shift + first, shift + n)]
-    sums = _shifted_sums(fwd, n, indices[:k // 2], shift, first, split_work)
-    high = indices[k // 2:]
-    t = high[0] - n
-    g = _shifted_sums(fwd, n, high, t, 0, split_work)
-    for s in range(first, n):
-        sums[s - first] += _lift(fwd, n, t - shift - s, g)
-    return sums
 
 
 def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:

@@ -153,15 +153,6 @@ def test_big_values_round_trip():
             assert recompose(n, decompose(n, value)) == value
 
 
-@pytest.mark.parametrize("n,digits,offset", [
-    (2, 1000, 0), (3, 1000, 0), (6, 1000, -1), (2, 5000, 0),
-])
-def test_huge_values_match_independent_greedy(n, digits, offset):
-    # 10**5000 is past the 4300-digit int<->str limit; it is never printed
-    value = 10**digits + offset
-    assert decompose(n, value) == _uncapped_greedy(n, value)
-
-
 class _CountingList(list):
     """A forward list that counts its reads; bisect_right reads through
     __getitem__ too."""

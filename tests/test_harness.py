@@ -13,8 +13,8 @@ from itertools import islice
 import pytest
 
 from nzeck import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, BlockTooLarge, IndexNotFound,
-                   ScanLimitExceeded, SequenceTable, block, decompose, fixed_summand, harness,
-                   perturbed_table, sequence, stream, term, words)
+                   ScanLimitExceeded, SequenceTable, block, decompose, decomposition,
+                   fixed_summand, harness, perturbed_table, sequence, stream, term, words)
 from nzeck.harness import (ALL_CHECKS, MAX_RECORDED_FAILURES, CheckReport, check_block_counts,
                            check_concat_prefixes, check_decomposition_prefix,
                            check_fixed_summand, check_mutation_sanity,
@@ -132,9 +132,12 @@ def test_block_counts_at_depth_a_million_runs_the_cases_of_depth_45():
 def test_staircase_pair_refuses_a_staircase_above_the_length_cap(monkeypatch):
     indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
     stair = b"".join(block(3, c) for c in indices)
-    assert harness._staircase_pair(3, indices, length_cap=23) == (stair, stair)
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 23)
+    assert harness._staircase_pair(3, indices) == (stair, stair)
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 22)
     with pytest.raises(BlockTooLarge, match="^prefix length 23 exceeds the limit 22$"):
-        harness._staircase_pair(3, indices, length_cap=22)
+        harness._staircase_pair(3, indices)
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", DEFAULT_LENGTH_CAP)
     # the 33-step staircase at n = 2 has 24157815 letters: its top block is
     # built, and the staircase is refused before any other block or letter
     built = []
@@ -220,7 +223,9 @@ def test_prefix_check_counts_both_cases_when_decompose_fails(monkeypatch):
         if value == 5:
             raise IndexNotFound("injected")
         return decompose(n, value)
-    # count_prefix and char_at both decompose the length
+    # count_prefix (through decomposition's sums) and char_at both
+    # decompose the length
+    monkeypatch.setattr(decomposition, "decompose", failing)
     monkeypatch.setattr(words, "decompose", failing)
     report = check_decomposition_prefix(n_range=(3,), length_max=10)
     assert report.cases_run == 20
@@ -347,10 +352,12 @@ def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monk
     assert built == [44]
 
 
-def test_word_prefix_refuses_a_length_above_the_cap():
-    assert len(list(harness._word_prefix(3, 60, length_cap=60))) == 60
+def test_word_prefix_refuses_a_length_above_the_cap(monkeypatch):
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 60)
+    assert len(list(harness._word_prefix(3, 60))) == 60
+    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 59)
     with pytest.raises(BlockTooLarge, match="^prefix length 60 exceeds the limit 59$"):
-        harness._word_prefix(3, 60, length_cap=59)
+        harness._word_prefix(3, 60)
 
 
 def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case():
@@ -375,11 +382,13 @@ def test_fixed_summand_records_a_failed_rows_set_up_as_one_case(monkeypatch):
                      "IndexNotFound: no index >= 3 below 3 fits the remainder 1")]
 
 
-def test_row_tops_refuse_rows_above_the_scan_limit():
+def test_row_tops_refuse_rows_above_the_scan_limit(monkeypatch):
     # the rows check reads F(3, 9) = 13 rows, one streamed letter per member
-    assert len(harness._row_tops(3, 4, 13, scan_limit=13)) == 13
+    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 13)
+    assert len(harness._row_tops(3, 4, 13)) == 13
+    monkeypatch.setattr(harness, "DEFAULT_SCAN_LIMIT", 12)
     with pytest.raises(ScanLimitExceeded, match="^row count 13 exceeds the limit 12$"):
-        harness._row_tops(3, 4, 13, scan_limit=12)
+        harness._row_tops(3, 4, 13)
 
 
 def test_fixed_summand_records_an_any_summand_walk_over_the_limit_as_one_case(monkeypatch):
@@ -503,8 +512,9 @@ def test_fixed_summand_runs_its_rows_cases_with_order_three(cpus, monkeypatch):
 
 def test_run_checks_sums_cases_and_times_over_orders(cpus, monkeypatch):
     def timed(n_range=(3, 4)):
-        return CheckReport("timed", {"n_range": list(n_range)}, cases_run=10 * n_range[0],
-                           elapsed_s=float(n_range[0]))
+        report = CheckReport("timed", {"n_range": list(n_range)})
+        report.cases_run, report.elapsed_s = 10 * n_range[0], float(n_range[0])
+        return report
     monkeypatch.setitem(ALL_CHECKS, "timed", timed)
     (report,) = harness.run_checks(["timed"], {"n_range": [2, 3, 5], "depth": 8})
     assert (report.cases_run, report.elapsed_s) == (100, 10.0)
@@ -513,7 +523,9 @@ def test_run_checks_sums_cases_and_times_over_orders(cpus, monkeypatch):
 
 def _where(n_range=(3, 4)):
     """A check that reports the process it ran in."""
-    return CheckReport("where", {"n_range": list(n_range), "pid": os.getpid()}, cases_run=1)
+    report = CheckReport("where", {"n_range": list(n_range), "pid": os.getpid()})
+    report.cases_run = 1
+    return report
 
 
 def test_run_checks_forks_only_with_more_than_one_cpu(cpus, monkeypatch):

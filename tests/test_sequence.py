@@ -2,12 +2,13 @@
 
 import random
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from nzeck import (SequenceTable, decompose, get_table, largest_index_at_most,
-                   sequence, term)
+from nzeck import (IndexNotFound, SequenceTable, char_at, count_prefix, decompose,
+                   get_table, largest_index_at_most, perturbed_table, sequence, term)
 
 
 @pytest.mark.parametrize("n,m,expected", [
@@ -122,6 +123,28 @@ def test_searches_grow_to_the_first_term_past_the_bound(n, bound, monkeypatch):
     monkeypatch.setitem(sequence._TABLES, n, SequenceTable(n))
     assert decompose(n, bound)[-1] == c
     assert get_table(n).hi == c + 1
+
+
+# F(n, 100) + delta turns every later term negative, or, where delta is
+# None, makes F(n, 101) exactly 0, so a bound above the table would stay out
+# of reach: growth refuses the first term that is not positive instead of
+# growing until memory runs out
+@pytest.mark.parametrize("n,delta", [(2, -10**30), (3, -10**20), (4, None), (5, -10**20),
+                                     (6, None), (7, -10**20), (8, None)])
+def test_growth_refuses_a_term_that_is_not_positive(n, delta):
+    bad = "0" if delta is None else r"-\d+"
+    if delta is None:
+        delta = -term(n, 100) - term(n, 101 - n)
+    with perturbed_table(n, 100, delta) as broken:
+        for call in (decompose, count_prefix, char_at):
+            start = time.perf_counter()
+            message = rf"^term 101 of order {n} is {bad}, not positive$"
+            with pytest.raises(IndexNotFound, match=message):
+                call(n, 10**2999)
+            assert time.perf_counter() - start < 1, call.__name__
+        with pytest.raises(IndexNotFound, match="^term 101 "):
+            broken.forward_through(10**6)
+        assert broken.hi == 100
 
 
 def test_concurrent_forward_past_matches_serial_growth():

@@ -1,12 +1,13 @@
-"""The certified split of `decompose` and `count_prefix` (orders 2..5)
+"""The divide and conquer of decomposition.py: the certified split of
+`decompose` and `count_prefix` (orders 2..5) and the split shifted sums,
 against the plain greedy, `count_block` and one more letter, for n = 2..8."""
 
 import random
 import time
+from itertools import chain
 
 import pytest
 from test_decomposition import _uncapped_greedy
-from test_words import SplitDepth
 
 from nzeck import (IndexNotFound, NzeckError, SequenceTable, char_at, count_block,
                    count_prefix, decompose, decomposition, get_table, perturbed_table,
@@ -14,6 +15,28 @@ from nzeck import (IndexNotFound, NzeckError, SequenceTable, char_at, count_bloc
 
 LEAF = decomposition.LEAF_BITS
 SUMS_LEAF = decomposition.SUMS_LEAF_BITS
+
+
+class SplitDepth:
+    """Wraps a module's function (recursion calls go through the module
+    name) and records how deep its calls nest: `deepest` is 0 for calls
+    that never nest, and `results` keeps every return value."""
+
+    def __init__(self, monkeypatch, module, name):
+        self.inner = getattr(module, name)
+        self.level = self.deepest = 0
+        self.results = []
+        monkeypatch.setattr(module, name, self)
+
+    def __call__(self, *args):
+        self.level += 1
+        self.deepest = max(self.deepest, self.level - 1)
+        try:
+            result = self.inner(*args)
+        finally:
+            self.level -= 1
+        self.results.append(result)
+        return result
 
 
 def _refused_first_split(n, top):
@@ -26,19 +49,22 @@ def _refused_first_split(n, top):
 
 
 def _big_values(n):
-    """Values around both leaf sizes, random values of 3000, 4500 and 6000
-    digits, and structured 6000-digit values: F(m), F(m) - 1, F(m) + 1,
-    2 F(m - 1), F(m) - F(m/2), the dense staircase with every gap n, and
-    one whose first split is refused."""
+    """The dense staircase first: every gap exactly n, the most indices a
+    6000-digit value can have. Then values around both leaf sizes, random
+    values of 10 to 6000 digits, powers of ten at a few orders (10**5000 is
+    past the 4300-digit int<->str limit; it is never printed), and
+    structured 6000-digit values: F(m), F(m) - 1, F(m) + 1, 2 F(m - 1),
+    F(m) - F(m/2) and one whose first split is refused."""
     rng = random.Random(n)
-    values = []
+    m = get_table(n).largest_index_at_most(10**5999)
+    values = [sum(map(term, [n] * m, range(n, m + 1, n)))]
     for bits in (SUMS_LEAF, LEAF):
         values += [(1 << bits) - 1, 1 << bits, (1 << bits) + rng.getrandbits(bits)]
-    values += [rng.randrange(10 ** (digits - 1), 10 ** digits) for digits in (3000, 4500, 6000)]
-    m = get_table(n).largest_index_at_most(10**5999)
+    values += [rng.randrange(10 ** (digits - 1), 10 ** digits)
+               for digits in (10, rng.randrange(11, 3000), 3000, 4000, 4400, 4500, 6000)]
+    values += {2: [10**1000, 10**5000], 3: [10**1000], 6: [10**1000 - 1]}.get(n, [])
     values += [term(n, m), term(n, m) - 1, term(n, m) + 1, 2 * term(n, m - 1),
-               term(n, m) - term(n, m // 2), sum(map(term, [n] * m, range(n, m + 1, n))),
-               _refused_first_split(n, m)]
+               term(n, m) - term(n, m // 2), _refused_first_split(n, m)]
     return values
 
 
@@ -47,21 +73,42 @@ def fresh_table(monkeypatch):
     """A fresh table per test, dropped after it (at n = 8 a 6000-digit
     table holds about 80 MB)."""
     def use(n):
-        monkeypatch.setitem(sequence._TABLES, n, SequenceTable(n))
+        table = SequenceTable(n)
+        monkeypatch.setitem(sequence._TABLES, n, table)
+        return table
     return use
 
 
+# the scans stop at 10**4 letters; above that decompose is held to a greedy
+# that never restricts the next index, and the letter counts to count_block
+# summed over the decomposition, which reads each term directly, and to the
+# letter that one more position adds
 @pytest.mark.parametrize("n", range(2, 9))
-def test_split_decompose_and_counts_match_greedy_and_count_block(n, fresh_table, monkeypatch,
-                                                                 default_digit_limit):
-    fresh_table(n)
+def test_big_values_match_greedy_count_block_and_one_more_letter(n, fresh_table, monkeypatch,
+                                                                default_digit_limit):
+    table = fresh_table(n)
+    values = _big_values(n)
+    decompose(n, values[0])
+    grown = table.hi
     splits = SplitDepth(monkeypatch, decomposition, "_split")
-    for i, value in enumerate(_big_values(n)):
+    sums = SplitDepth(monkeypatch, decomposition, "_shifted_sums")
+    for i, value in enumerate(values):
+        counts = count_prefix(n, value)
+        if i == 0:
+            # the dense staircase: n <= 5 takes the sums from decompose's
+            # certified split, whose splits nest inside the upper parts they
+            # decompose; n >= 6 splits the sums. Neither reads a term beyond
+            # those decompose grows.
+            assert table.hi == grown
+            if n <= decomposition.SPLIT_MAX_ORDER:
+                assert splits.deepest >= 2 and None not in splits.results
+            else:
+                assert sums.deepest >= 3
         indices = decompose(n, value)
         assert indices == _uncapped_greedy(n, value), i
-        counts = count_prefix(n, value)
         blocks = [count_block(n, c) for c in indices]
         assert counts == [sum(column) for column in zip(*blocks)], i
+        assert sum(counts) == value, i
         letter = char_at(n, value)
         step = [now - before for now, before in zip(counts, count_prefix(n, value - 1))]
         assert step == [int(a == letter) for a in range(1, n + 1)], i
@@ -70,6 +117,57 @@ def test_split_decompose_and_counts_match_greedy_and_count_block(n, fresh_table,
         assert None in splits.results and len(splits.results) > splits.results.count(None)
     else:
         assert splits.results == []
+
+
+class Forward(list):
+    """A copy of the forward list that refuses slot 0, negative indices
+    (which would wrap round) and any index past its end."""
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            assert key.step is None and 1 <= key.start <= key.stop <= len(self), key
+        else:
+            assert 1 <= key < len(self), key
+        return super().__getitem__(key)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_shifted_sums_split_down_to_single_indices_match_the_plain_sums(n, monkeypatch):
+    # SPLIT_WORK = 0 splits every run of two or more indices, so every
+    # combine step runs, including those whose reads fall on the zero terms
+    # 2 - n..0
+    rng = random.Random(-n)
+    big = [rng.randrange(10 ** (digits - 1), 10 ** digits) for digits in (30, 300, 1000)]
+    for length in chain(range(3001), big):
+        indices = decompose(n, length)
+        fwd = get_table(n).forward_past(length)
+        plain = [sum([fwd[c - s] for c in indices]) for s in range(1, n)]
+        top = Forward(fwd[:indices[-1] + 1] if indices else fwd[:1])
+        assert decomposition._shifted_sums(top, n, indices, 0, 1) == plain, length
+        with monkeypatch.context() as patch:
+            patch.setattr(decomposition, "SPLIT_WORK", 0)
+            assert decomposition._shifted_sums(top, n, indices, 0, 1) == plain, length
+
+
+# count_prefix's sums come from decompose's split for n <= 5 above the sums
+# leaf and from the shifted sums over decompose's indices otherwise; either
+# way they are T_0..T_(n-1), the sums of F(c - s) over the indices c
+@pytest.mark.parametrize("n", range(2, 9))
+def test_decomposition_sums_take_the_split_only_above_the_sums_leaf_at_low_orders(n, monkeypatch):
+    rng = random.Random(n + 100)
+    values = [0, 1, rng.randrange(2, 10**6), (1 << SUMS_LEAF) - 1, 1 << SUMS_LEAF,
+              (1 << SUMS_LEAF) + rng.getrandbits(SUMS_LEAF)]
+    walks = SplitDepth(monkeypatch, decomposition, "_walk")
+    shifted = SplitDepth(monkeypatch, decomposition, "_shifted_sums")
+    for value in values:
+        fwd = get_table(n).forward_past(value)
+        before = len(walks.results), len(shifted.results)
+        sums = decomposition._decomposition_sums(fwd, n, value)
+        split = n <= decomposition.SPLIT_MAX_ORDER and value >= 1 << SUMS_LEAF
+        ran = len(walks.results) > before[0], len(shifted.results) > before[1]
+        assert ran == (split, not split), value
+        indices = decompose(n, value)
+        assert sums == [sum(fwd[c - s] for c in indices) for s in range(n)], value
 
 
 @pytest.mark.parametrize("n", range(2, 6))

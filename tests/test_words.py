@@ -7,8 +7,8 @@ import pytest
 
 from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
                    SequenceTable, block, char_at, count_block, count_prefix,
-                   count_prefix_scan, decompose, decomposition, format_letters,
-                   get_table, sequence, stream, stream_chunks, term, words)
+                   count_prefix_scan, decompose, format_letters, get_table, sequence,
+                   stream, stream_chunks, term)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -218,98 +218,6 @@ def test_count_prefix_matches_scan_at_small_indices(n, monkeypatch):
         monkeypatch.setitem(sequence._TABLES, n, fresh)
         assert count_prefix(n, length) == count_prefix_scan(n, length), length
         assert (fresh.lo, fresh.hi) == (1, alone.hi), length
-
-
-class SplitDepth:
-    """Wraps a module's function (recursion calls go through the module
-    name) and records how deep its calls nest: `deepest` is 0 for calls
-    that never nest, and `results` keeps every return value."""
-
-    def __init__(self, monkeypatch, module, name):
-        self.inner = getattr(module, name)
-        self.level = self.deepest = 0
-        self.results = []
-        monkeypatch.setattr(module, name, self)
-
-    def __call__(self, *args):
-        self.level += 1
-        self.deepest = max(self.deepest, self.level - 1)
-        try:
-            result = self.inner(*args)
-        finally:
-            self.level -= 1
-        self.results.append(result)
-        return result
-
-
-# the scans stop at 10**4 letters; above that the shifted sums are held to
-# count_block summed over the decomposition, which reads each term directly,
-# and to the letter that one more position adds
-@pytest.mark.parametrize("n", range(2, 9))
-def test_count_prefix_sums_count_block_over_big_decompositions(n, monkeypatch,
-                                                             default_digit_limit):
-    rng = random.Random(n)
-    lengths = [rng.randrange(10 ** (digits - 1), 10 ** digits)
-               for digits in (10, rng.randrange(11, 3000), 3000, 4000, 4400, 6000)]
-    # every gap exactly n: the most indices a 6000-digit length can have
-    table = SequenceTable(n)
-    top = table.largest_index_at_most(10**5999)
-    dense = sum(map(table.term, range(n, top + 1, n)))
-    lengths.append(dense)
-    # each table is dropped once read (at n = 8 one holds about 80 MB); the
-    # registry entry is swapped in place, as monkeypatch would keep the old
-    table = SequenceTable(n)
-    monkeypatch.setitem(sequence._TABLES, n, table)
-    decompose(n, dense)
-    grown = table.hi
-    table = sequence._TABLES[n] = SequenceTable(n)
-    # n <= 5 takes the sums from decompose's certified split, whose splits
-    # nest inside the upper parts they decompose; n >= 6 splits the sums
-    split = n <= decomposition.SPLIT_MAX_ORDER
-    depth = (SplitDepth(monkeypatch, decomposition, "_split") if split
-             else SplitDepth(monkeypatch, words, "_shifted_sums"))
-    assert sum(count_prefix(n, dense)) == dense
-    # the split reads no term beyond those decompose grows, and no backward one
-    assert (table.lo, table.hi) == (1, grown)
-    if split:
-        assert depth.deepest >= 2 and None not in depth.results
-    else:
-        assert depth.deepest >= 3
-    for i, length in enumerate(lengths):
-        counts = count_prefix(n, length)
-        blocks = [count_block(n, c) for c in decompose(n, length)]
-        assert counts == [sum(column) for column in zip(*blocks)], i
-        assert sum(counts) == length, i
-        letter = char_at(n, length)
-        step = [now - before for now, before in zip(counts, count_prefix(n, length - 1))]
-        assert step == [int(a == letter) for a in range(1, n + 1)], i
-
-
-class Forward(list):
-    """A copy of the forward list that refuses slot 0, negative indices
-    (which would wrap round) and any index past its end."""
-
-    def __getitem__(self, key):
-        if isinstance(key, slice):
-            assert key.step is None and 1 <= key.start <= key.stop <= len(self), key
-        else:
-            assert 1 <= key < len(self), key
-        return super().__getitem__(key)
-
-
-@pytest.mark.parametrize("n", range(2, 9))
-def test_shifted_sums_split_down_to_single_indices_match_the_plain_sums(n):
-    # split_work=0 splits every run of two or more indices, so every combine
-    # step runs, including those whose reads fall on the zero terms 2 - n..0
-    rng = random.Random(-n)
-    big = [rng.randrange(10 ** (digits - 1), 10 ** digits) for digits in (30, 300, 1000)]
-    for length in chain(range(3001), big):
-        indices = decompose(n, length)
-        fwd = get_table(n).forward_past(length)
-        plain = [sum([fwd[c - s] for c in indices]) for s in range(1, n)]
-        top = Forward(fwd[:indices[-1] + 1] if indices else fwd[:1])
-        assert words._shifted_sums(top, n, indices, 0, 1, split_work=0) == plain, length
-        assert words._shifted_sums(top, n, indices, 0, 1) == plain, length
 
 
 @pytest.mark.parametrize("n,length,expected", [
