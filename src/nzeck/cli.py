@@ -7,7 +7,6 @@ import json
 import os
 import sys
 from functools import cache
-from itertools import islice
 
 from . import decomposition, fixed_summand, harness, sequence, words
 from .errors import NzeckError, _brief
@@ -33,7 +32,9 @@ def _cap(flag: int | None, name: str, default: int) -> int:
 
 
 def _orders(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part]
+    if orders := [int(part) for part in text.split(",") if part.strip()]:
+        return orders
+    raise argparse.ArgumentTypeError(f"must name at least one order, got {text!r}")
 
 
 def _count(text: str, low: int = 0) -> int:
@@ -53,8 +54,8 @@ def _positive(text: str) -> int:
 
 
 # A handler returns one zero-argument rendering per --format value it accepts,
-# so only the chosen one is built; `main` prints it (a "json" rendering is the
-# payload it passes through json.dumps) and is the only code that writes stdout.
+# so only the chosen one is built; `main` prints it, a str as it is and any
+# other value through json.dumps, and is the only code that writes stdout.
 
 def cmd_term(args) -> dict:
     value = sequence.term(args.order, args.index)
@@ -79,16 +80,18 @@ def cmd_recompose(args) -> dict:
 def cmd_string(args) -> dict:
     limit = _cap(args.scan_limit, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT)
     sequence.require_at_most("prefix length", args.prefix, limit)
-    return {"json": lambda: {"n": args.order,
-                             "prefix": list(islice(words.stream(args.order), args.prefix))},
-            "text": lambda: words._prefix_text(args.order, args.prefix)}
+    n, length = args.order, args.prefix
+    return {"json": lambda: words._letters_text(n, length, json_head=f'{{"n": {n}, "prefix": ['),
+            "text": lambda: words._letters_text(n, length)}
 
 
 def cmd_block(args) -> dict:
+    n, m = args.order, args.index
     cap = _cap(args.length_cap, ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
-    letters = words.block(args.order, args.index, length_cap=cap)
-    return {"json": lambda: {"n": args.order, "m": args.index, "letters": list(letters)},
-            "text": lambda: words.format_letters(letters)}
+    length = words._block_length(n, m, cap)
+    return {"json": lambda: words._letters_text(n, length, m,
+                                                json_head=f'{{"n": {n}, "m": {m}, "letters": ['),
+            "text": lambda: words._letters_text(n, length, m)}
 
 
 def cmd_char_at(args) -> dict:
@@ -275,7 +278,7 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         out = args.handler(args)
         answer = out[args.format]()
-        print(json.dumps(answer) if args.format == "json" else answer)
+        print(answer if isinstance(answer, str) else json.dumps(answer))
         return out.get("code", 0)
     except NzeckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

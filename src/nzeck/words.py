@@ -16,9 +16,10 @@ expanded on a stack down to those leaves (`_leaf_indices`, one walk that
 yields leaf indices). Memory is the O(depth) stack plus that one leaf
 table, which holds about 6.8k letters in all for n = 2 and 17.9k for n = 6.
 The leaves come from the rewriting alone, not from `block` or the sequence
-table, so the stream stays an independent oracle for both. The text form of
-a prefix (`_prefix_text`, behind `nzeck string`) walks the same leaf
-indices and joins a text leaf per whole leaf, built by the same rewriting.
+table, so the stream stays an independent oracle for both. One renderer
+(`_letters_text`) serves `nzeck string` and `nzeck block`, as text and as
+JSON: it walks the same leaf indices, of the word or of one block, and
+joins a text leaf per whole leaf, built by the same rewriting.
 
 Letter counts of a prefix (`count_prefix`) are differences of the shifted
 sums T_s of F(c - s) over the decomposition indices c of its length;
@@ -54,6 +55,18 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> bytes | tuple
     from the seeds a_1, ..., a_n. The result is immutable: `bytes` for
     orders n < 256, a tuple of ints for n >= 256.
     """
+    _block_length(n, m, length_cap)
+    letters = _letters(n)
+    if m <= n:
+        return letters((m,))
+    window = deque((letters((i,)) for i in range(1, n + 1)), maxlen=n)
+    for _ in range(n + 1, m + 1):
+        window.append(window[-1] + window[0])
+    return window[-1]
+
+
+def _block_length(n: int, m: int, length_cap: int) -> int:
+    """F(n, m), the block's length, after every check of `block` (and `nzeck block`)."""
     require_order(n)
     require_int("block index", m, 1)
     require_int("length_cap", length_cap, 0)
@@ -66,15 +79,9 @@ def block(n: int, m: int, length_cap: int = DEFAULT_LENGTH_CAP) -> bytes | tuple
     if floor_bits >= cap_bits:
         raise BlockTooLarge(f"block {_brief(m)} has at least 2**{_brief(floor_bits)} letters, "
                             f"above the {cap_bits}-bit length cap")
-    require_at_most(f"block {_brief(m)} length", get_table(n).term(m), length_cap,
-                    BlockTooLarge)
-    letters = _letters(n)
-    if m <= n:
-        return letters((m,))
-    window = deque((letters((i,)) for i in range(1, n + 1)), maxlen=n)
-    for _ in range(n + 1, m + 1):
-        window.append(window[-1] + window[0])
-    return window[-1]
+    length = get_table(n).term(m)
+    require_at_most(f"block {_brief(m)} length", length, length_cap, BlockTooLarge)
+    return length
 
 
 def stream_chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
@@ -90,28 +97,29 @@ def stream_chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
     return map(leaves.__getitem__, _leaf_indices(n, len(leaves) - 1))
 
 
-def _leaves(n: int) -> list:
+def _leaves(n: int, last: int | None = None) -> list:
     """The leaf table: entry j is B(j) for every block of at most
-    CHUNK_LETTERS letters, by B(j) = B(j-1) + B(j-n) from the seeds, built
-    from the rewriting alone; entry 0 is empty."""
+    CHUNK_LETTERS letters, or only for j <= last, by B(j) = B(j-1) + B(j-n)
+    from the seeds, built from the rewriting alone; entry 0 is empty."""
     letters = _letters(n)
-    leaves = [letters()] + [letters((i,)) for i in range(1, n + 1)]
-    while len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
+    last = n + CHUNK_LETTERS if last is None else last  # F(n + k) > k: no leaf lies past it
+    leaves = [letters()] + [letters((i,)) for i in range(1, min(n, last) + 1)]
+    while len(leaves) <= last and len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
         leaves.append(leaves[-1] + leaves[-n])
     return leaves
 
 
-def _leaf_indices(n: int, top: int) -> Iterator[int]:
-    """Indices of the leaves that spell the word, in order, where `top` is
-    the largest index of a leaf.
+def _leaf_indices(n: int, top: int, m: int | None = None) -> Iterator[int]:
+    """Indices of the leaves that spell the block at index m (by default the
+    word), in order, where `top` is the largest index of a leaf.
 
-    Uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending B(m+1-n)
-    to B(n) . B(1) ... B(m-n) turns it into B(m+1), so the partial
+    The word uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending
+    B(k+1-n) to B(n) . B(1) ... B(k-n) turns it into B(k+1), so the partial
     concatenation always stays a block, and the blocks converge to the word.
     Each block above `top` is expanded by B(j) = B(j-1) . B(j-n) on an
     explicit stack down to leaves.
     """
-    for idx in chain((n,), count(1)):
+    for idx in chain((n,), count(1)) if m is None else (m,):
         stack = [idx]
         while stack:
             j = stack.pop()
@@ -122,31 +130,34 @@ def _leaf_indices(n: int, top: int) -> Iterator[int]:
                 stack.append(j - 1)
 
 
-def _prefix_text(n: int, length: int) -> str:
-    """`format_letters` of the first `length` letters of the word, joined
-    from text leaves.
+def _letters_text(n: int, length: int, m: int | None = None,
+                  json_head: str | None = None) -> str:
+    """The first `length` letters of the block at index m (by default of the
+    word) as `format_letters` writes them or, given `json_head`, as a JSON
+    object: the head, the letters as list items ("3, 1, 2"), then "]}".
 
-    Beside the leaf table, the same rewriting builds each leaf's text:
-    T(j) = T(j-1) + " " + T(j-n) from the seeds "a1" .. "an". Every whole
-    leaf then costs one reference to its text, and only the last, partial
-    leaf is formatted letter by letter. Both tables live for this call.
+    Each leaf's text comes from the rewriting that builds the leaf table
+    (which for a block stops at m): T(j) = T(j-1) + sep + T(j-n). A whole
+    leaf costs one reference, only a last, partial leaf is named letter by
+    letter, and one join of the parts makes the text, never copied.
     """
     require_order(n)
-    leaves = _leaves(n)
-    texts = [""] + [f"a{i}" for i in range(1, n + 1)]
+    leaves = _leaves(n, m)
+    sep, name, tail = (" ", "a{}", "") if json_head is None else (", ", "{}", "]}")
+    texts = [""] + [name.format(i) for i in range(1, min(n, len(leaves) - 1) + 1)]
     for j in range(n + 1, len(leaves)):
-        texts.append(texts[j - 1] + " " + texts[j - n])
-    parts = []
+        texts.append(texts[j - 1] + sep + texts[j - n])
+    parts = [json_head or ""]
     left = length
-    indices = _leaf_indices(n, len(leaves) - 1)
+    indices = _leaf_indices(n, len(leaves) - 1, m)
     while left > 0:
         j = next(indices)
-        if len(leaves[j]) > left:
-            parts.append(format_letters(leaves[j][:left]))
-            break
-        parts.append(texts[j])
+        whole = len(leaves[j]) <= left
+        parts += sep, texts[j] if whole else sep.join(map(texts.__getitem__, leaves[j][:left]))
         left -= len(leaves[j])
-    return " ".join(parts)
+    del parts[1:2]  # the separator before the first letter
+    parts.append(tail)
+    return "".join(parts)
 
 
 def stream(n: int) -> Iterator[int]:

@@ -266,11 +266,13 @@ def _size_raises(source: str) -> list[str]:
 
 def test_size_refusals_go_through_require_at_most():
     # one message shape for every scan-limit and length-cap refusal; the
-    # one raise of its own is block's floor-bits refusal, made before the
-    # size exists, so it has no value to pass to the guard
+    # one raise of its own is block's floor-bits refusal (in `_block_length`,
+    # which `block` and `nzeck block` share), made before the size exists, so
+    # it has no value to pass to the guard
     assert _size_raises("def f():\n    raise errors.BlockTooLarge('x')\n"
                         "raise ScanLimitExceeded\n") == ["f", "<module>"]
     assert _size_raises("def require_at_most():\n    raise ScanLimitExceeded('x')\n") == []
     found = {path.name: _size_raises(path.read_text()) for path in SOURCES}
-    assert {name: where for name, where in found.items() if where} == {"words.py": ["block"]}
+    assert {name: where for name, where in found.items() if where} == {
+        "words.py": ["_block_length"]}
     assert "sequence.py" in found and "harness.py" in found

@@ -16,9 +16,9 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (DEFAULT_SCAN_LIMIT, InvalidDecomposition, decompose, fixed_summand,
+from nzeck import (DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, decompose, fixed_summand,
                    format_letters, harness, largest_summand_rows, perturbed_table, recompose,
-                   smallest_summand_members, stream, term)
+                   smallest_summand_members, stream, term, words)
 from nzeck.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -155,20 +155,40 @@ def test_bulk_text_matches_per_item_formatting(capsys):
 def test_string_text_matches_the_stream_across_leaf_edges(capsys, n):
     # two-digit letters from n = 10, tuple leaves from n = 256
     for length in (0, 1, 4095, 4096, 4097, 8191, 12289, 50000):
+        letters = list(islice(stream(n), length))
         code, out, _ = run(capsys, "string", "-n", str(n), "--prefix", str(length))
-        assert code == 0
-        assert out == format_letters(list(islice(stream(n), length))) + "\n", length
+        assert (code, out) == (0, format_letters(letters) + "\n"), length
+        code, out, _ = run(capsys, "string", "-n", str(n), "--prefix", str(length),
+                           "--format", "json")
+        assert (code, out) == (0, json.dumps({"n": n, "prefix": letters}) + "\n"), length
+    # blocks at, just below and just above the largest leaf, and at the seeds
+    top = len(words._leaves(n)) - 1
+    for m in (1, n - 1, n, n + 1, top, top + 1, top + n):
+        letters = list(block(n, m))
+        code, out, _ = run(capsys, "block", "-n", str(n), "-m", str(m))
+        assert (code, out) == (0, format_letters(letters) + "\n"), m
+        code, out, _ = run(capsys, "block", "-n", str(n), "-m", str(m), "--format", "json")
+        assert (code, out) == (0, json.dumps({"n": n, "m": m, "letters": letters}) + "\n"), m
 
 
-def test_string_text_peaks_under_twice_its_length():
-    args = build_parser().parse_args(["string", "-n", "3", "--prefix", "1000000"])
+# F(3, 39) = 1243524 letters; a JSON letter of order 3 is one digit and ", "
+@pytest.mark.parametrize("argv,length", [
+    (["string", "-n", "3", "--prefix", "1000000"], 3 * 10**6 - 1),
+    (["string", "-n", "3", "--prefix", "1000000", "--format", "json"],
+     3 * 10**6 - 2 + len('{"n": 3, "prefix": []}')),
+    (["block", "-n", "3", "-m", "39"], 3 * 1243524 - 1),
+    (["block", "-n", "3", "-m", "39", "--format", "json"],
+     3 * 1243524 - 2 + len('{"n": 3, "m": 39, "letters": []}')),
+], ids=["string", "string-json", "block", "block-json"])
+def test_string_text_peaks_under_twice_its_length(argv, length):
+    args = build_parser().parse_args(argv)
     tracemalloc.start()
     try:
-        text = args.handler(args)["text"]()
+        text = args.handler(args)[args.format]()
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(text) == 3 * 10**6 - 1
+    assert len(text) == length
     assert peak < 2 * len(text), peak
 
 
@@ -303,6 +323,17 @@ def test_verify_checks_naming_no_check_is_usage_error(capsys, checks, fmt):
     assert err == ("error: --checks names no check (known: unique-decomposition, "
                    "concat-prefixes, block-counts, decomposition-prefix, fixed-summand, "
                    "mutation-sanity)\n")
+
+
+@pytest.mark.parametrize("orders", [",", " , ", ""])
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_verify_orders_naming_no_order_is_usage_error(capsys, orders, fmt):
+    with pytest.raises(SystemExit) as info:
+        main(["verify", "--orders", orders, "--format", fmt])
+    captured = capsys.readouterr()
+    assert (info.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(
+        f"error: argument --orders: must name at least one order, got {orders!r}\n")
 
 
 def test_usage_error_exit_code(capsys):
@@ -462,10 +493,6 @@ def test_verify_that_runs_no_case_fails(capsys):
     assert code == 1
     assert re.search(r"^\[FAIL\] unique-decomposition: 0 cases", out, re.M)
     assert re.search(r"^\[FAIL\] decomposition-prefix: 0 cases", out, re.M)
-    code, out, _ = run(capsys, "verify", "--orders", ",", "--checks", "block-counts",
-                       "--format", "json")
-    assert code == 1
-    assert json.loads(out)[0]["pass"] is False
 
 
 def test_bad_order_is_usage_error(capsys):
