@@ -32,9 +32,10 @@ def _cap(flag: int | None, name: str, default: int) -> int:
 
 
 def _orders(text: str) -> list[int]:
-    if orders := [int(part) for part in text.split(",") if part.strip()]:
+    orders = [int(part) for part in text.split(",") if part.strip()]
+    if orders and len(set(orders)) == len(orders):
         return orders
-    raise argparse.ArgumentTypeError(f"must name at least one order, got {text!r}")
+    raise argparse.ArgumentTypeError(f"must name at least one order, each once, got {text!r}")
 
 
 def _count(text: str, low: int = 0) -> int:
@@ -89,9 +90,11 @@ def cmd_block(args) -> dict:
     n, m = args.order, args.index
     cap = _cap(args.length_cap, ENV_LENGTH_CAP, words.DEFAULT_LENGTH_CAP)
     length = words._block_length(n, m, cap)
-    return {"json": lambda: words._letters_text(n, length, m,
+    if m < n:  # a seed; from m = n on, B(m) is the word's prefix of its length
+        return {"json": lambda: {"n": n, "m": m, "letters": [m]}, "text": lambda: f"a{m}"}
+    return {"json": lambda: words._letters_text(n, length,
                                                 json_head=f'{{"n": {n}, "m": {m}, "letters": ['),
-            "text": lambda: words._letters_text(n, length, m)}
+            "text": lambda: words._letters_text(n, length)}
 
 
 def cmd_char_at(args) -> dict:
@@ -153,13 +156,14 @@ def cmd_verify(args) -> dict:
 
 
 def _selected_checks(text: str | None) -> list[str]:
-    """The ids named in --checks, or all if absent; naming none is a usage error."""
+    """The ids named in --checks, or all if absent; naming none or one twice is a usage error."""
     if text is None:
         return list(harness.ALL_CHECKS)
     names = [part.strip() for part in text.split(",") if part.strip()]
     unknown = [name for name in names if name not in harness.ALL_CHECKS]
-    if unknown or not names:
-        what = f"unknown checks: {', '.join(unknown)}" if unknown else "--checks names no check"
+    if unknown or not names or len(set(names)) < len(names):
+        what = (f"unknown checks: {', '.join(unknown)}" if unknown else
+                "--checks names a check twice" if names else "--checks names no check")
         raise ValueError(f"{what} (known: {', '.join(harness.ALL_CHECKS)})")
     return names
 

@@ -10,16 +10,16 @@ for a_1..a_n. A block or chunk holds them in `bytes`, one byte per letter,
 for orders n < 256, and in a tuple for n >= 256, whose letters do not fit a
 byte; either way, iterating over it yields ints.
 
-The word streams in chunks: every block of at most CHUNK_LETTERS letters is
-built once per stream in that container (`_leaves`), and larger blocks are
-expanded on a stack down to those leaves (`_leaf_indices`, one walk that
-yields leaf indices). Memory is the O(depth) stack plus that one leaf
-table, which holds about 6.8k letters in all for n = 2 and 17.9k for n = 6.
-The leaves come from the rewriting alone, not from `block` or the sequence
-table, so the stream stays an independent oracle for both. One renderer
-(`_letters_text`) serves `nzeck string` and `nzeck block`, as text and as
-JSON: it walks the same leaf indices, of the word or of one block, and
-joins a text leaf per whole leaf, built by the same rewriting.
+The word streams in chunks: one walk over its roots (`_leaf_indices`)
+grows a table of the blocks of at most CHUNK_LETTERS letters, each built
+once per walk in that container when the walk first reaches it, and
+expands larger blocks on a stack down to those leaves. Memory is the
+O(depth) stack plus the leaves reached so far: at most about 6.8k letters
+for n = 2 and 17.9k for n = 6, and a short prefix builds only what it
+spells. The leaves come from the rewriting alone, not from `block` or the
+sequence table, so the stream stays an independent oracle for both. One
+renderer (`_letters_text`) serves `nzeck string` and `nzeck block`, as
+text and as JSON: it joins a text leaf per whole leaf of the same walk.
 
 Letter counts of a prefix (`count_prefix`) are differences of the shifted
 sums T_s of F(c - s) over the decomposition indices c of its length;
@@ -88,70 +88,62 @@ def stream_chunks(n: int) -> Iterator[bytes | tuple[int, ...]]:
     """The infinite word as consecutive chunks of 1..CHUNK_LETTERS letters,
     each in the container `block` returns: `bytes` for n < 256, else tuple.
 
-    The chunks are the leaves of `_leaves`, in the order `_leaf_indices`
-    walks them; the same leaf is yielded every time its block recurs. The
-    order is checked here, at the call, not at the first chunk.
+    The chunks are the leaves `_leaf_indices` walks, in order; the same leaf
+    is yielded every time its block recurs. The order is checked here, at
+    the call, not at the first chunk.
     """
     require_order(n)
-    leaves = _leaves(n)
-    return map(leaves.__getitem__, _leaf_indices(n, len(leaves) - 1))
+    leaves = {}
+    return map(leaves.__getitem__, _leaf_indices(n, leaves))
 
 
-def _leaves(n: int, last: int | None = None) -> list:
-    """The leaf table: entry j is B(j) for every block of at most
-    CHUNK_LETTERS letters, or only for j <= last, by B(j) = B(j-1) + B(j-n)
-    from the seeds, built from the rewriting alone; entry 0 is empty."""
-    letters = _letters(n)
-    last = n + CHUNK_LETTERS if last is None else last  # F(n + k) > k: no leaf lies past it
-    leaves = [letters()] + [letters((i,)) for i in range(1, min(n, last) + 1)]
-    while len(leaves) <= last and len(leaves[-1]) + len(leaves[-n]) <= CHUNK_LETTERS:
-        leaves.append(leaves[-1] + leaves[-n])
-    return leaves
-
-
-def _leaf_indices(n: int, top: int, m: int | None = None) -> Iterator[int]:
-    """Indices of the leaves that spell the block at index m (by default the
-    word), in order, where `top` is the largest index of a leaf.
+def _leaf_indices(n: int, leaves: dict) -> Iterator[int]:
+    """Indices of the word's leaves, in order, each put in `leaves` (index -> block) first.
 
     The word uses the identity word = B(n) . B(1) . B(2) . B(3) ...: appending
     B(k+1-n) to B(n) . B(1) ... B(k-n) turns it into B(k+1), so the partial
     concatenation always stays a block, and the blocks converge to the word.
-    Each block above `top` is expanded by B(j) = B(j-1) . B(j-n) on an
-    explicit stack down to leaves.
+    Root k comes after every root below it, so its block (a seed, or B(k-1)
+    . B(k-n)) is added when first reached, until it no longer fits in
+    CHUNK_LETTERS; from there each root is expanded on a stack to leaves.
     """
-    for idx in chain((n,), count(1)) if m is None else (m,):
-        stack = [idx]
+    letters = _letters(n)
+    roots = chain((n,), count(1))
+    for k in roots:
+        leaf = letters((k,)) if k <= n else leaves[k - 1] + leaves[k - n]
+        if len(leaf) > CHUNK_LETTERS:
+            break
+        leaves[k] = leaf
+        yield k
+    for k in chain((k,), roots):
+        stack = [k]
         while stack:
             j = stack.pop()
-            if j <= top:
+            if j in leaves:
                 yield j
             else:
-                stack.append(j - n)
-                stack.append(j - 1)
+                stack += j - n, j - 1
 
 
-def _letters_text(n: int, length: int, m: int | None = None,
-                  json_head: str | None = None) -> str:
-    """The first `length` letters of the block at index m (by default of the
-    word) as `format_letters` writes them or, given `json_head`, as a JSON
-    object: the head, the letters as list items ("3, 1, 2"), then "]}".
+def _letters_text(n: int, length: int, json_head: str | None = None) -> str:
+    """The word's first `length` letters as `format_letters` writes them or, given
+    `json_head`, as a JSON object: the head, the list items ("3, 1, 2"), "]}".
 
-    Each leaf's text comes from the rewriting that builds the leaf table
-    (which for a block stops at m): T(j) = T(j-1) + sep + T(j-n). A whole
-    leaf costs one reference, only a last, partial leaf is named letter by
-    letter, and one join of the parts makes the text, never copied.
+    Each leaf's text comes from the rewriting that builds the leaf, when
+    the walk first yields it: T(j) = T(j-1) + sep + T(j-n). A whole leaf
+    costs one reference, a last, partial leaf names its letters through the
+    seeds' texts, and one join of the parts makes the text, never copied.
     """
     require_order(n)
-    leaves = _leaves(n, m)
     sep, name, tail = (" ", "a{}", "") if json_head is None else (", ", "{}", "]}")
-    texts = [""] + [name.format(i) for i in range(1, min(n, len(leaves) - 1) + 1)]
-    for j in range(n + 1, len(leaves)):
-        texts.append(texts[j - 1] + sep + texts[j - n])
+    leaves, texts = {}, {}
     parts = [json_head or ""]
     left = length
-    indices = _leaf_indices(n, len(leaves) - 1, m)
+    indices = _leaf_indices(n, leaves)
     while left > 0:
         j = next(indices)
+        if j not in texts:
+            texts[j] = name.format(j) if j <= n else texts[j - 1] + sep + texts[j - n]
         whole = len(leaves[j]) <= left
         parts += sep, texts[j] if whole else sep.join(map(texts.__getitem__, leaves[j][:left]))
         left -= len(leaves[j])
@@ -163,9 +155,9 @@ def _letters_text(n: int, length: int, m: int | None = None,
 def stream(n: int) -> Iterator[int]:
     """Letters of the infinite word, in order: `stream_chunks` flattened.
 
-    Memory is the O(depth) expansion stack plus the one leaf table of
-    `stream_chunks`, which holds every block of at most CHUNK_LETTERS
-    letters (about 6.8k letters in all for n = 2, 17.9k for n = 6).
+    Memory is the O(depth) expansion stack plus the leaf table of
+    `stream_chunks`, grown as the walk reaches each leaf (at most about 6.8k
+    letters in all for n = 2, 17.9k for n = 6).
     """
     return chain.from_iterable(stream_chunks(n))
 
@@ -216,23 +208,27 @@ def count_prefix(n: int, length: int) -> list[int]:
 
 
 def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT) -> list[int]:
-    """Per-letter counts of the prefix by tallying the stream (the oracle
-    for count_prefix), one chunk at a time."""
+    """Per-letter counts of the prefix by tallying the stream (the oracle for
+    count_prefix) chunk by chunk: n `bytes.count`s, or one pass per tuple."""
     require_order(n)
     require_int("prefix length", length, 0)
     require_int("scan_limit", scan_limit, 0)
     require_at_most("prefix length", length, scan_limit)
-    counts = [0] * n
+    counts = [0] * (n + 1)
     remaining = length
     chunks = stream_chunks(n)
     while remaining > 0:
         chunk = next(chunks)
         if len(chunk) > remaining:
             chunk = chunk[:remaining]
-        for i in range(n):
-            counts[i] += chunk.count(i + 1)
+        if n < 256:
+            for i in range(1, n + 1):
+                counts[i] += chunk.count(i)
+        else:
+            for letter in chunk:
+                counts[letter] += 1
         remaining -= len(chunk)
-    return counts
+    return counts[1:]
 
 
 def format_letters(letters: Sequence[int]) -> str:

@@ -16,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, decompose, fixed_summand,
-                   format_letters, harness, largest_summand_rows, perturbed_table, recompose,
-                   smallest_summand_members, stream, term, words)
+from nzeck import (CHUNK_LETTERS, DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, decompose,
+                   fixed_summand, format_letters, harness, largest_index_at_most,
+                   largest_summand_rows, perturbed_table, recompose, smallest_summand_members,
+                   stream, stream_chunks, term)
 from nzeck.cli import build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -162,13 +163,20 @@ def test_string_text_matches_the_stream_across_leaf_edges(capsys, n):
                            "--format", "json")
         assert (code, out) == (0, json.dumps({"n": n, "prefix": letters}) + "\n"), length
     # blocks at, just below and just above the largest leaf, and at the seeds
-    top = len(words._leaves(n)) - 1
+    top = largest_index_at_most(n, CHUNK_LETTERS)
     for m in (1, n - 1, n, n + 1, top, top + 1, top + n):
         letters = list(block(n, m))
         code, out, _ = run(capsys, "block", "-n", str(n), "-m", str(m))
         assert (code, out) == (0, format_letters(letters) + "\n"), m
         code, out, _ = run(capsys, "block", "-n", str(n), "-m", str(m), "--format", "json")
         assert (code, out) == (0, json.dumps({"n": n, "m": m, "letters": letters}) + "\n"), m
+
+
+def rendering(argv):
+    """A call that runs argv's handler and renders what `main` would print,
+    with argv parsed now, outside the call."""
+    args = build_parser().parse_args(argv)
+    return lambda: args.handler(args)[args.format]()
 
 
 # F(3, 39) = 1243524 letters; a JSON letter of order 3 is one digit and ", "
@@ -181,15 +189,32 @@ def test_string_text_matches_the_stream_across_leaf_edges(capsys, n):
      3 * 1243524 - 2 + len('{"n": 3, "m": 39, "letters": []}')),
 ], ids=["string", "string-json", "block", "block-json"])
 def test_string_text_peaks_under_twice_its_length(argv, length):
-    args = build_parser().parse_args(argv)
-    tracemalloc.start()
-    try:
-        text = args.handler(args)[args.format]()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    text, peak = traced_peak(rendering(argv))
     assert len(text) == length
     assert peak < 2 * len(text), peak
+
+
+# a short prefix of a high order builds the leaves it spells, not the whole
+# leaf table: each peaked at 16.8 MB or more when the table was built up front,
+# and block's peak here is mostly the sequence table, grown to F(100005)
+@pytest.mark.parametrize("spell", [
+    rendering(["string", "-n", "1000000", "--prefix", "1"]),
+    rendering(["string", "-n", "10000", "--prefix", "100"]),
+    rendering(["block", "-n", "100000", "-m", "100005"]),
+    lambda: next(stream_chunks(10**6)),
+], ids=["string-1", "string-100", "block", "stream-chunk"])
+def test_a_short_prefix_of_a_high_order_peaks_under_four_megabytes(spell):
+    _, peak = traced_peak(spell)
+    assert peak < 4 * 10**6, peak
+
+
+def traced_peak(thunk):
+    """thunk()'s value and the tracemalloc peak while it ran."""
+    tracemalloc.start()
+    try:
+        return thunk(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_table1(capsys):
@@ -315,17 +340,21 @@ def test_verify_unknown_check(capsys):
     assert "unknown checks" in err
 
 
-@pytest.mark.parametrize("checks", [",", " , ", ""])
+@pytest.mark.parametrize("checks,what", [
+    (",", "names no check"), (" , ", "names no check"), ("", "names no check"),
+    ("block-counts,block-counts", "names a check twice"),
+    ("concat-prefixes, block-counts ,concat-prefixes", "names a check twice"),
+])
 @pytest.mark.parametrize("fmt", ["text", "json"])
-def test_verify_checks_naming_no_check_is_usage_error(capsys, checks, fmt):
+def test_verify_checks_naming_no_check_is_usage_error(capsys, checks, what, fmt):
     code, out, err = run(capsys, "verify", "--checks", checks, "--format", fmt)
     assert (code, out) == (2, "")
-    assert err == ("error: --checks names no check (known: unique-decomposition, "
+    assert err == (f"error: --checks {what} (known: unique-decomposition, "
                    "concat-prefixes, block-counts, decomposition-prefix, fixed-summand, "
                    "mutation-sanity)\n")
 
 
-@pytest.mark.parametrize("orders", [",", " , ", ""])
+@pytest.mark.parametrize("orders", [",", " , ", "", "3,3", "3,4, 3"])
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_verify_orders_naming_no_order_is_usage_error(capsys, orders, fmt):
     with pytest.raises(SystemExit) as info:
@@ -333,7 +362,7 @@ def test_verify_orders_naming_no_order_is_usage_error(capsys, orders, fmt):
     captured = capsys.readouterr()
     assert (info.value.code, captured.out) == (2, "")
     assert captured.err.endswith(
-        f"error: argument --orders: must name at least one order, got {orders!r}\n")
+        f"error: argument --orders: must name at least one order, each once, got {orders!r}\n")
 
 
 def test_usage_error_exit_code(capsys):

@@ -255,6 +255,11 @@ def test_orders_past_a_byte_hold_letters_in_tuples(n):
         assert count_prefix_scan(n, cut) == count_prefix(n, cut), cut
 
 
+def test_count_prefix_scan_tallies_tuple_chunks_in_one_pass():
+    # at this order n `count` calls per chunk, O(n) each, take about a second
+    assert count_prefix_scan(10**4, 10**5) == count_prefix(10**4, 10**5)
+
+
 def test_count_prefix_scan_limit():
     with pytest.raises(ScanLimitExceeded):
         count_prefix_scan(3, 100, scan_limit=10)
