@@ -87,8 +87,10 @@ def any_summand_members(n: int, k: int, bound: int,
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
     the answer. A member count above `scan_limit` is refused before any
     run is built, after at most (scan_limit - 1) // run length + 2 bases
-    are drawn: that many already make more than scan_limit members. A run
-    length below 1, which only a corrupted table gives, is refused first.
+    are drawn: that many already make more than scan_limit members. With
+    runs of 1 that is scan_limit + 1 bases, and none where a count of the
+    bases <= bound from below decides the refusal. A run length below 1,
+    which only a corrupted table gives, is refused first.
     """
     require_order(n)
     require_int("fixed index k", k, n)
@@ -103,9 +105,10 @@ def any_summand_members(n: int, k: int, bound: int,
         if table.term(k + a) < run_len:
             raise NzeckError(f"overlapping runs for n={n}, k={k}: the step F({n}, {k + a}) "
                              f"is below the run length {_brief(run_len)}")
-    # b = (scan_limit - 1) // run_len + 2 bases hold at least
-    # (b - 1) * run_len + 1 > scan_limit members, so b decide the refusal
     cap = (scan_limit - 1) // run_len + 2
+    if run_len == 1:  # bases from F(n, k) on, at most the largest step F(n, k + a) apart
+        least = (bound - table.term(k)) // max(map(table.term, range(k + 1, k + n + 1))) + 1
+        require_at_most("member count", min(least, cap), scan_limit)
     bases = list(islice(takewhile(bound.__ge__, smallest_summand_stream(n, k)), cap))
     if not bases:
         return bases

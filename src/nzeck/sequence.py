@@ -52,14 +52,16 @@ def _term_at_or_below_zero(seeds: list[int], m: int) -> int:
     x^(m-1) mod P (C. M. Fiduccia, SIAM J. Comput. 14, 1985). Since
     x^(n-1) (x - 1) = P + 1, x^-1 = x^(n-1) - x^(n-2) mod P; its power
     1 - m is taken by squaring, bit by bit from the top, and a set bit
-    multiplies by x^-1, which is a shift: n^2 products per bit of 1 - m.
+    multiplies by x^-1, which is a shift: at most n^2 products per bit of
+    1 - m, since a square skips the zero coefficients.
     """
     n = len(seeds)
     c = [1] + [0] * (n - 1)
     for bit in bin(1 - m)[2:]:
         square = [0] * (2 * n - 1)
-        for i, a in enumerate(c):
-            for j, b in enumerate(c):
+        terms = [(i, a) for i, a in enumerate(c) if a]
+        for i, a in terms:
+            for j, b in terms:
                 square[i + j] += a * b
         # x^d = x^(d-1) + x^(d-n) mod P, from the top degree down to n
         for d in range(2 * n - 2, n - 1, -1):
@@ -112,41 +114,35 @@ class SequenceTable:
 
     def forward_through(self, m: int) -> list[int]:
         """The forward list (entry m is F(m), slot 0 unused), grown just
-        until index m exists. Live and read-only, like `forward_past`."""
+        until index m exists. The list is live: growth only appends to it.
+        Callers must not mutate it."""
         fwd = self._fwd
         if m >= len(fwd):
-            with self._lock:
-                n = self.n
-                while len(fwd) <= m:
-                    fwd.append(fwd[-1] + fwd[len(fwd) - n])
-                    if fwd[-1] <= 0:
-                        self._refuse()
+            self._grow(m, 0)
         return fwd
 
     def forward_past(self, bound: int) -> list[int]:
-        """The forward list (entry m is F(m), slot 0 unused), grown term by
-        term just until its last term exceeds bound.
-
-        The list is live: growth only appends to it. Callers must not mutate
-        it.
-        """
+        """The forward list, grown term by term just until its last term
+        exceeds bound. Live and read-only, like `forward_through`."""
         fwd = self._fwd
         if fwd[-1] <= bound:
-            with self._lock:
-                n = self.n
-                while fwd[-1] <= bound:
-                    fwd.append(fwd[-1] + fwd[len(fwd) - n])
-                    if fwd[-1] <= 0:
-                        self._refuse()
+            self._grow(0, bound)
         return fwd
 
-    def _refuse(self) -> None:
-        """Drop the term growth just appended, which is not positive, and
-        raise IndexNotFound naming its index. Only a corrupted table makes
-        one, and refusing it ends every growth: n appends past the last
-        stored term, every addend is a positive appended term."""
-        t, n = self._fwd.pop(), self.n
-        raise IndexNotFound(f"term {len(self._fwd)} of order {n} is {_brief(t)}, not positive")
+    def _grow(self, m: int, bound: int) -> None:
+        """Append terms under the lock until index m exists and the last term
+        exceeds bound (0 stops on m alone). A term that is not positive, which
+        only a corrupted table makes, is refused unstored with IndexNotFound,
+        so growth ends: n appends on, every addend is a positive appended term."""
+        with self._lock:
+            fwd, n = self._fwd, self.n
+            hi, last = len(fwd) - 1, fwd[-1]
+            while hi < m or last <= bound:
+                hi += 1
+                last += fwd[hi - n]
+                if last <= 0:
+                    raise IndexNotFound(f"term {hi} of order {n} is {_brief(last)}, not positive")
+                fwd.append(last)
 
     def largest_index_at_most(self, bound: int) -> int:
         """Largest index c >= n with F(c) <= bound.

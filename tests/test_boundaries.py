@@ -4,7 +4,6 @@ naming it."""
 
 import ast
 import inspect
-import sys
 import re
 from pathlib import Path
 

@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (CHUNK_LETTERS, DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, decompose,
-                   fixed_summand, format_letters, harness, largest_index_at_most,
+from nzeck import (CHUNK_LETTERS, DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, count_block,
+                   decompose, fixed_summand, format_letters, harness, largest_index_at_most,
                    largest_summand_rows, perturbed_table, recompose, smallest_summand_members,
                    stream, stream_chunks, term)
 from nzeck.cli import build_parser, main
@@ -426,6 +426,15 @@ def test_term_a_million_below_zero_prints_quickly(capsys):
     assert from_digits(payload["value"].lstrip("-")) == abs(value)
 
 
+def test_count_block_at_a_high_order_is_quick():
+    # the closed form reads terms at indices -593..-294, whose squarings
+    # multiply only nonzero coefficients: 13 s when they multiplied all n^2 pairs
+    start = time.perf_counter()
+    counts = count_block(300, 5)
+    assert time.perf_counter() - start < 2
+    assert counts == [int(i == 5) for i in range(1, 301)]
+
+
 def test_length_cap_env_override(capsys, monkeypatch):
     monkeypatch.setenv("NZECK_LENGTH_CAP", "3")
     code, _, err = run(capsys, "block", "-n", "3", "-m", "8")
@@ -690,6 +699,8 @@ EXACT = [
      '"staircase_max": 2}, "pass": true, "cases_run": 18, "failures": [], '
      '"failures_total": 0, "elapsed_s": 0.0}]\n', ""),
     (["decompose", "-n", "1", "5"], 2, "", "error: order n must be an integer >= 2, got 1\n"),
+    (["block", "-n", "3", "-m", "60", "--length-cap", "100"], 1, "",
+     "error: BlockTooLarge: block 60 has at least 2**19 letters, above the 7-bit length cap\n"),
     (["block", "-n", "3", "-m", "60", "--length-cap", "100", "--format", "json"], 1, "",
      "error: BlockTooLarge: block 60 has at least 2**19 letters, above the 7-bit length cap\n"),
 ]

@@ -198,13 +198,18 @@ def _count_draws(monkeypatch):
 
 
 # runs of 1 (k = 4) and of 4 (k = 8) members: (10 - 1) // 1 + 2 = 11 and
-# (10 - 1) // 4 + 2 = 4 bases, whose runs hold 11 and 16 members
-@pytest.mark.parametrize("k,members,bases", [(4, 11, 11), (8, 16, 4)])
-def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypatch, k, members,
-                                                                       bases):
+# (10 - 1) // 4 + 2 = 4 bases, whose runs hold 11 and 16 members. Runs of 1
+# are first counted from below, (bound - 2) // 6 + 1 bases (6 = F(3, 7), the
+# largest step): over 10 for 10**5000, so none is drawn, but 10 for 61, which
+# has 13 bases below it, so 11 are drawn
+@pytest.mark.parametrize("k,bound,members,bases", [(4, 10**5000, 11, 0), (4, 61, 11, 11),
+                                                   (8, 10**5000, 16, 4)],
+                         ids=["4-huge-11-0", "4-61-11-11", "8-huge-16-4"])
+def test_any_summand_members_draw_at_most_one_base_past_the_scan_limit(monkeypatch, k, bound,
+                                                                       members, bases):
     drawn = _count_draws(monkeypatch)
     with pytest.raises(ScanLimitExceeded, match=f"^member count {members} exceeds the limit 10$"):
-        any_summand_members(3, k, 10**5000, scan_limit=10)
+        any_summand_members(3, k, bound, scan_limit=10)
     assert len(drawn) == bases
 
 
