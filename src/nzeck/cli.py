@@ -7,6 +7,7 @@ import json
 import os
 import sys
 from functools import cache
+from itertools import chain, count
 
 from . import decomposition, fixed_summand, harness, sequence, words
 from .errors import NzeckError, _brief
@@ -120,11 +121,12 @@ def cmd_counts(args) -> dict:
 def cmd_qseq(args) -> dict:
     sequence.require_at_most("member count", args.count,
                              _cap(None, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
-    members = fixed_summand.smallest_summand_members(args.order, args.fixed_index, args.count)
-    return {"json": lambda: {"n": args.order, "k": args.fixed_index,
-                             "q": [str(q) for q in members]},
-            "bfile": lambda: "\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)),
-            "text": lambda: " ".join(map(str, members))}
+    n, k = args.order, args.fixed_index
+    members = fixed_summand.smallest_summand_members(n, k, args.count)
+    return {"json": lambda: _members_text(members, '"%d"', ", ",
+                                          f'{{"n": {n}, "k": {k}, "q": [', "]}"),
+            "bfile": lambda: _members_text(members, "%d %d", "\n", numbered=True),
+            "text": lambda: _members_text(members)}
 
 
 def cmd_table1(args) -> dict:
@@ -134,12 +136,23 @@ def cmd_table1(args) -> dict:
 
 
 def cmd_zset(args) -> dict:
+    n, k, bound = args.order, args.fixed_index, args.bound
     members = fixed_summand.any_summand_members(
-        args.order, args.fixed_index, args.bound,
-        _cap(None, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
-    return {"json": lambda: {"n": args.order, "k": args.fixed_index, "bound": str(args.bound),
-                             "z": [str(z) for z in members]},
-            "text": lambda: " ".join(map(str, members))}
+        n, k, bound, _cap(None, ENV_SCAN_LIMIT, words.DEFAULT_SCAN_LIMIT))
+    return {"json": lambda: _members_text(members, '"%d"', ", ", f'{{"n": {n}, "k": {k}, '
+                                          f'"bound": "{bound}", "z": [', "]}"),
+            "text": lambda: _members_text(members)}
+
+
+def _members_text(members: list[int], item: str = "%d", sep: str = " ", head: str = "",
+                  tail: str = "", numbered: bool = False) -> str:
+    """The members as one %-format: head, one `item` per member joined by
+    `sep`, tail. A numbered item formats the pair (j, member), j from 1.
+    The format and a tuple of its values are the only copies besides the
+    text, so it peaks at about 2.5 times the text (4.4 numbered, whose j
+    are ints too). Head and tail hold no "%"."""
+    values = tuple(chain.from_iterable(zip(count(1), members))) if numbered else tuple(members)
+    return (head + (item + sep) * (len(members) - 1) + item * bool(members) + tail) % values
 
 
 def cmd_verify(args) -> dict:

@@ -17,8 +17,7 @@ infinite word the generators are driven by.
 
 from __future__ import annotations
 
-from itertools import accumulate, chain, compress, islice, repeat, takewhile
-from operator import add
+from itertools import accumulate, chain, compress, count, islice, repeat, takewhile
 from typing import Iterator, Sequence
 
 from .decomposition import successive_decompositions
@@ -83,7 +82,9 @@ def any_summand_members(n: int, k: int, bound: int,
     so before any base is drawn each of the n steps is checked to be at
     least the run length, and NzeckError names the first that is not. On
     a correct table F(n, k+a) >= F(n, k-(n-1)) and the check passes. The
-    last run is clipped to bound, and the runs are chained as ranges; when
+    last run is clipped to bound. Each run is `islice(count(q), length)`,
+    one int addition per member: a `range` over ints wider than a machine
+    word does a multiply and an add per member on CPython 3.11. When
     j_max = 0 (k <= 2n - 1) every run is its base alone, and the bases are
     the answer. A member count above `scan_limit` is refused before any
     run is built, after at most (scan_limit - 1) // run length + 2 bases
@@ -117,8 +118,8 @@ def any_summand_members(n: int, k: int, bound: int,
                     scan_limit)
     if run_len == 1:
         return bases
-    out = list(chain.from_iterable(map(range, bases[:-1], map(add, bases, repeat(run_len)))))
-    out.extend(range(last, min(last + run_len, bound + 1)))
+    out = list(chain.from_iterable(map(islice, map(count, bases[:-1]), repeat(run_len))))
+    out.extend(islice(count(last), min(run_len, bound + 1 - last)))
     return out
 
 

@@ -180,15 +180,21 @@ def count_block(n: int, m: int) -> list[int]:
     """Per-letter counts of the block at index m, by the closed form.
 
     Entry i-1 counts letter a_i: F(n, m-(n+i-1)) for i < n and
-    F(n, m-(n-1)) for i = n. Needs the backward extension of the sequence
-    when m is small; terms at indices <= 0 come from the sequence's window
-    over the seeds and are never stored. Reads just those n terms, so the
-    table grows only through F(m-n+1). Does not build the block.
+    F(n, m-(n-1)) for i = n. The n terms are consecutive, F(m-2n+2) through
+    F(m-n+1), and read from the table from the top down: its terms at
+    indices >= 1, so it grows only through max(n, m-n+1); below index 1,
+    at most 2n - 2 steps of the backward recurrence F(j) = F(j+n) - F(j+n-1)
+    from the table's seeds. Does not build the block.
     """
     require_order(n)
     require_int("block index", m, 1)
     table = get_table(n)
-    return [table.term(m - n - i) for i in range(n - 1)] + [table.term(m - n + 1)]
+    top = m - n + 1
+    hi = max(top, n)
+    down = [table.term(j) for j in range(hi, max(top - n, 0), -1)]  # F(hi), F(hi - 1), ...
+    while len(down) < hi - top + n:
+        down.append(down[-n] - down[1 - n])
+    return down[hi - top + 1:] + [down[hi - top]]
 
 
 def count_prefix(n: int, length: int) -> list[int]:

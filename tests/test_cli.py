@@ -16,11 +16,11 @@ from pathlib import Path
 
 import pytest
 
-from nzeck import (CHUNK_LETTERS, DEFAULT_SCAN_LIMIT, InvalidDecomposition, block, count_block,
-                   decompose, fixed_summand, format_letters, harness, largest_index_at_most,
-                   largest_summand_rows, perturbed_table, recompose, smallest_summand_members,
-                   stream, stream_chunks, term)
-from nzeck.cli import build_parser, main
+from nzeck import (CHUNK_LETTERS, DEFAULT_SCAN_LIMIT, InvalidDecomposition, any_summand_members,
+                   block, count_block, decompose, fixed_summand, format_letters, harness,
+                   largest_index_at_most, largest_summand_rows, perturbed_table, recompose,
+                   smallest_summand_members, stream, stream_chunks, term)
+from nzeck.cli import _members_text, build_parser, main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -145,11 +145,67 @@ def test_bulk_text_matches_per_item_formatting(capsys):
     code, out, _ = run(capsys, "string", "-n", "3", "--prefix", "10000")
     assert code == 0
     assert out == " ".join(f"a{x}" for x in letters) + "\n"
-    members = smallest_summand_members(3, 4, 10_000)
-    code, out, _ = run(capsys, "qseq", "-n", "3", "-k", "4", "--count", "10000",
-                       "--format", "bfile")
-    assert code == 0
-    assert out == "".join(f"{j} {q}\n" for j, q in enumerate(members, start=1))
+
+
+# qseq and zset print their members through one %-format; every format
+# against its per-item reference, at one member, 10^4 members and members
+# above 2^63 (k = 200 and 300)
+@pytest.mark.parametrize("n,k,count", [(3, 4, 1), (3, 4, 10**4), (2, 200, 1000), (6, 300, 1000)])
+def test_qseq_output_matches_per_item_formatting(capsys, n, k, count):
+    members = smallest_summand_members(n, k, count)
+    expected = {"text": " ".join(map(str, members)),
+                "bfile": "\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)),
+                "json": json.dumps({"n": n, "k": k, "q": [str(q) for q in members]})}
+    for fmt, out in expected.items():
+        got = run(capsys, "qseq", "-n", str(n), "-k", str(k), "--count", str(count),
+                  "--format", fmt)
+        assert got == (0, out + "\n", ""), fmt
+
+
+# the bound is F(n, k) + span: a span of -1 is below the first base and 0 is
+# that base alone; n = 3, k = 20 makes 4 runs of up to F(3, 18) = 406 members
+@pytest.mark.parametrize("n,k,span,size", [
+    (3, 8, -1, 0), (3, 8, 0, 1), (3, 8, 53500, 10056), (3, 20, 6000, 1323),
+    (2, 200, 10**4, 10001), (6, 300, 10**4, 10001),
+], ids=["empty", "one", "10^4", "runs", "k200", "k300"])
+def test_zset_output_matches_per_item_formatting(capsys, n, k, span, size):
+    bound = term(n, k) + span
+    members = any_summand_members(n, k, bound)
+    assert len(members) == size
+    expected = {"text": " ".join(map(str, members)),
+                "json": json.dumps({"n": n, "k": k, "bound": str(bound),
+                                    "z": [str(z) for z in members]})}
+    for fmt, out in expected.items():
+        got = run(capsys, "zset", "-n", str(n), "-k", str(k), "--bound", str(bound),
+                  "--format", fmt)
+        assert got == (0, out + "\n", ""), fmt
+
+
+def test_member_text_of_several_runs_above_two_to_the_63():
+    # a zset cannot print these: a second run needs F(n, k - n + 1) members
+    # before it, and F(n, k), the first base, is a small multiple of that
+    members = [*range(2**64 - 2, 2**64 + 2), *range(3**50, 3**50 + 3)]
+    assert _members_text(members) == " ".join(map(str, members))
+    assert (_members_text(members, '"%d"', ", ", "[", "]")
+            == json.dumps([str(z) for z in members]))
+    assert (_members_text(members, "%d %d", "\n", numbered=True)
+            == "\n".join(f"{j} {q}" for j, q in enumerate(members, start=1)))
+
+
+# 10^6 members each (the zset bound gives 1014844); rendered per item (a str
+# per member, then a join or json.dumps) they peaked at 5.85 to 9.4 times their text
+@pytest.mark.parametrize("argv,factor", [
+    (["qseq", "-n", "3", "-k", "4", "--count", "1000000"], 3),
+    (["qseq", "-n", "3", "-k", "4", "--count", "1000000", "--format", "json"], 3),
+    (["qseq", "-n", "3", "-k", "4", "--count", "1000000", "--format", "bfile"], 5),
+    (["zset", "-n", "3", "-k", "8", "--bound", "5400000"], 3),
+    (["zset", "-n", "3", "-k", "8", "--bound", "5400000", "--format", "json"], 3),
+], ids=["qseq", "qseq-json", "qseq-bfile", "zset", "zset-json"])
+def test_member_output_peaks_under_a_few_times_its_length(argv, factor):
+    args = build_parser().parse_args(argv)
+    render = args.handler(args)[args.format]  # members drawn outside the trace
+    text, peak = traced_peak(render)
+    assert peak < factor * len(text), peak / len(text)
 
 
 @pytest.mark.parametrize("n", [2, 3, 6, 10, 12, 256, 300])
@@ -427,12 +483,21 @@ def test_term_a_million_below_zero_prints_quickly(capsys):
 
 
 def test_count_block_at_a_high_order_is_quick():
-    # the closed form reads terms at indices -593..-294, whose squarings
-    # multiply only nonzero coefficients: 13 s when they multiplied all n^2 pairs
+    # the closed form reads terms at indices -593..-294: 13 s when each was a
+    # window power whose squarings multiplied all n^2 coefficient pairs
     start = time.perf_counter()
     counts = count_block(300, 5)
     assert time.perf_counter() - start < 2
     assert counts == [int(i == 5) for i in range(1, 301)]
+
+
+def test_counts_block_at_order_1000_is_quick(capsys):
+    # its 1000 terms are consecutive, down to index -994, and step down from
+    # the seeds: 2 s when each was its own window power
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "counts", "-n", "1000", "--block", "5")
+    assert time.perf_counter() - start < 2
+    assert (code, out) == (0, " ".join(f"a{i}={int(i == 5)}" for i in range(1, 1001)) + "\n")
 
 
 def test_length_cap_env_override(capsys, monkeypatch):

@@ -1,7 +1,7 @@
 """Fixed-summand families: letter-driven generators vs scan oracles."""
 
 import re
-from itertools import compress, islice
+from itertools import compress, islice, takewhile
 
 import pytest
 
@@ -124,6 +124,18 @@ def test_any_summand_members_clip_the_last_run_to_the_bound():
     assert any_summand_members(3, 8, 38) == [9, 10, 11, 12, 37, 38]
     for bound in range(1, 300):
         assert any_summand_members(3, 8, bound) == any_summand_scan(3, 8, bound), bound
+
+
+# runs are counted up from their base; a range over ints wider than a machine
+# word is the reference. k = 20 gives 4 runs of F(3, 18) = 406 members, the
+# last clipped; at k = 200 and 300 one run of members above 2^63 is clipped
+@pytest.mark.parametrize("n,k,span", [(3, 20, 6000), (2, 200, 10**4), (6, 300, 10**5)])
+def test_any_summand_runs_match_ranges(n, k, span):
+    bound = term(n, k) + span
+    run_len = term(n, k - (n - 1))
+    bases = takewhile(bound.__ge__, smallest_summand_stream(n, k))
+    expected = [z for q in bases for z in range(q, min(q + run_len, bound + 1))]
+    assert any_summand_members(n, k, bound) == expected
 
 
 def test_any_summand_members_below_the_first_base_are_empty():

@@ -183,6 +183,14 @@ def test_count_block_examples(n, m, expected):
     assert count_block(n, m) == expected
 
 
+@pytest.mark.parametrize("n", [*range(2, 9), 50])
+def test_count_block_counts_the_letters_of_the_block(n):
+    # m up to 2n - 2 reads terms below index 1, stepped down from the seeds
+    for m in range(1, 3 * n + 1):
+        letters = block(n, m)
+        assert count_block(n, m) == [letters.count(i) for i in range(1, n + 1)], m
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_count_block_grows_only_to_its_largest_read(n, monkeypatch):
     reference = SequenceTable(n)
