@@ -280,8 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line (default: sys.argv[1:]) and return its exit code:
-    0 on success, 1 for a domain error, 2 for a usage error. argparse's own
-    usage errors and --help raise SystemExit instead.
+    0 on success, 1 for a domain error or a closed stdout, 2 for a usage
+    error. argparse's own usage errors and --help raise SystemExit instead.
 
     Every call in a process parses with the one shared `build_parser()`,
     built on the first call, not at import; it must not be mutated.
@@ -295,7 +295,14 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         out = args.handler(args)
         answer = out[args.format]()
-        print(answer if isinstance(answer, str) else json.dumps(answer))
+        try:
+            print(answer if isinstance(answer, str) else json.dumps(answer))
+            sys.stdout.flush()
+        except BrokenPipeError:  # the reader closed stdout: Python's "Note on SIGPIPE"
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())  # so the flush at exit cannot raise again
+            os.close(devnull)
+            return 1
         return out.get("code", 0)
     except NzeckError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

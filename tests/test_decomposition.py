@@ -137,16 +137,6 @@ def test_gap_emerges_without_cap(n):
         assert _uncapped_greedy(n, value) == decompose(n, value), value
 
 
-@pytest.mark.parametrize("n", [2, 3, 4])
-def test_largest_summand_monotone(n):
-    # equivalent to: top(i) > top(j) implies i > j, over all pairs <= 1e4
-    last = 0
-    for value in range(1, 10_001):
-        top = decompose(n, value)[-1]
-        assert top >= last, value
-        last = top
-
-
 def test_big_values_round_trip():
     for n in (2, 3, 5):
         for value in (10**18, 10**30 + 7, term(n, 200) - 1):

@@ -96,12 +96,6 @@ def test_block_recursion(n):
         assert cached[m] == cached[m - 1] + cached[m - n]
 
 
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_block_length_law(n):
-    for m in range(1, 26):
-        assert len(block(n, m)) == term(n, m)
-
-
 def test_block_recursion_for_orders_past_a_byte():
     # letters above 255 take the tuple path
     n = 300
@@ -271,14 +265,6 @@ def test_count_prefix_scan_tallies_tuple_chunks_in_one_pass():
 def test_count_prefix_scan_limit():
     with pytest.raises(ScanLimitExceeded):
         count_prefix_scan(3, 100, scan_limit=10)
-
-
-@pytest.mark.parametrize("n", [2, 3, 4, 5])
-def test_count_prefix_matches_scan(n):
-    tally = [0] * n
-    for length, letter in enumerate(take(n, 1200), start=1):
-        tally[letter - 1] += 1
-        assert count_prefix(n, length) == tally, length
 
 
 def test_format_letters():
