@@ -636,6 +636,48 @@ EXACT = [
      "error: NZECK_SCAN_LIMIT must be >= 0, got -1\n"),
     (["block", "-n", "3", "-m", "2"], {"NZECK_LENGTH_CAP": "-1"}, 2, "",
      "error: NZECK_LENGTH_CAP must be >= 0, got -1\n"),
+    (["counts", "-n", "3", "--prefix", "3", "--scan", "--scan-limit", "2"], {}, 1, "",
+     "error: ScanLimitExceeded: prefix length 3 exceeds the limit 2\n"),
+    (["counts", "-n", "3", "--prefix", "3", "--scan", "--scan-limit", "3"], {}, 0,
+     "a1=1 a2=1 a3=1\n", ""),
+    # every subcommand refuses a bad argument: a domain error exits 1 and a
+    # library guard's ValueError is a usage error, exit 2
+    (["term", "-n", "1", "-m", "3"], {}, 2, "", "error: order n must be an integer >= 2, got 1\n"),
+    (["decompose", "-n", "3", "--", "-5"], {}, 2, "", "error: value must be >= 0, got -5\n"),
+    (["recompose", "-n", "3", "3", "4"], {}, 1, "",
+     "error: InvalidDecomposition: gap 1 between indices 3 and 4 is below 3\n"),
+    (["recompose", "-n", "3", "0"], {}, 1, "",
+     "error: InvalidDecomposition: first index 0 is below the order 3\n"),
+    (["string", "-n", "1", "--prefix", "3"], {}, 2, "",
+     "error: order n must be an integer >= 2, got 1\n"),
+    (["block", "-n", "3", "-m", "0"], {}, 2, "", "error: block index must be >= 1, got 0\n"),
+    (["char-at", "-n", "3", "0"], {}, 2, "", "error: position must be >= 1, got 0\n"),
+    (["counts", "-n", "3", "--prefix", "-1"], {}, 2, "",
+     "error: prefix length must be >= 0, got -1\n"),
+    (["counts", "-n", "3", "--block", "0"], {}, 2, "", "error: block index must be >= 1, got 0\n"),
+    (["qseq", "-n", "3", "-k", "2", "--count", "3"], {}, 2, "",
+     "error: fixed index k must be >= 3, got 2\n"),
+    (["qseq", "-n", "3", "-k", "4", "--count", "0"], {}, 2, "",
+     "error: count must be >= 1, got 0\n"),
+    (["table1", "-n", "3", "-j", "2"], {}, 2, "", "error: j must be >= 3, got 2\n"),
+    (["zset", "-n", "3", "-k", "2", "--bound", "30"], {}, 2, "",
+     "error: fixed index k must be >= 3, got 2\n"),
+    (["zset", "-n", "3", "-k", "6", "--bound", "0"], {}, 2, "",
+     "error: bound must be >= 1, got 0\n"),
+    # accepted at the edge: index 0 is a term like any other, an empty index
+    # list sums to 0 (the inverse of decomposing 0), and k = n and j = n are
+    # the least the fixed-summand guards let through
+    (["term", "-n", "3", "-m", "0"], {}, 0, "0\n", ""),
+    (["recompose", "-n", "3"], {}, 0, "0\n", ""),
+    (["recompose", "-n", "3", "--format", "json"], {}, 0,
+     '{"n": 3, "indices": [], "N": "0"}\n', ""),
+    (["decompose", "-n", "3", "0", "--format", "json"], {}, 0,
+     '{"n": 3, "N": "0", "indices": []}\n', ""),
+    (["qseq", "-n", "3", "-k", "3", "--count", "3"], {}, 0, "1 5 7\n", ""),
+    (["table1", "-n", "3", "-j", "3"], {}, 0, "2 2\n", ""),
+    (["zset", "-n", "3", "-k", "3", "--bound", "10"], {}, 0, "1 5 7 10\n", ""),
+    # random access far past any stream: count_prefix(3, p) - count_prefix(3, p - 1) agrees
+    (["char-at", "-n", "3", "1000000000000000000"], {}, 0, "a1\n", ""),
 ]
 
 
@@ -678,6 +720,9 @@ def test_exact_output_covers_every_subcommand_and_format():
                for argv, _, code, _, _ in EXACT if code == 0}
     assert len(pairs) == 23
     assert pairs <= covered
+    refused = {(argv[0], code) for argv, _, code, _, _ in EXACT if code}
+    assert {name for name, _ in refused} == set(sub.choices)
+    assert {code for _, code in refused} == {1, 2}
     assert {"--scan-limit", "--length-cap"} <= {arg for argv, *_ in EXACT for arg in argv}
     cases = {(name, cap_case(value, code))
              for _, env, code, _, _ in EXACT for name, value in env.items()}
