@@ -305,14 +305,20 @@ def main(argv=None) -> int:
             return 1
         return out.get("code", 0)
     except NzeckError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
+        code, message = 1, f"error: {type(exc).__name__}: {exc}"
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code, message = 2, f"error: {exc}"
     finally:
         if limit:
             sys.set_int_max_str_digits(limit)
+    # a stderr that cannot take the message keeps the exit code: one that
+    # refuses writes, or None (fd 2 closed at start-up; print would use stdout)
+    try:
+        if sys.stderr is not None:
+            print(message, file=sys.stderr)
+    except OSError:
+        pass
+    return code
 
 
 if __name__ == "__main__":

@@ -18,9 +18,9 @@ import inspect
 import os
 import threading
 from decimal import Decimal
-from itertools import chain, compress, islice
+from itertools import compress, islice
 from time import perf_counter
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Sequence, TypeVar
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
@@ -144,7 +144,7 @@ def _jsonable(value):
         return value if abs(value) < 2**53 else str(Decimal(value))
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple, range, set, bytes)):
+    if isinstance(value, (list, tuple, range, set)):
         return [_jsonable(v) for v in value]
     return str(value)
 
@@ -204,50 +204,32 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
     report = CheckReport("concat-prefixes", _base_params(n_range, depth=depth))
     for n in n_range:
         table = get_table(n)
-        made = report.set_up({"n": n, "sub": "set-up"}, lambda: _concat_set_up(n, depth))
+        made = report.set_up({"n": n, "sub": "set-up"},
+                             lambda: _prefix_set_up(n, (depth, depth - n + 1)))
         if made is None:
             continue
-        blocks, prefix = made
+        word, texts = made
         # pair concatenation: B(j) . B(i) starts the word, n <= i <= j-(n-1)
         for j in range(2 * n - 1, depth + 1):
             for i in range(n, j - (n - 1) + 1):
-                length = table.term(i) + table.term(j)
-                report.case({"n": n, "item": 1, "i": i, "j": j},
-                            prefix[:length], blocks[j] + blocks[i])
+                report.guarded({"n": n, "item": 1, "i": i, "j": j},
+                               lambda: (table.term(j) + table.term(i),
+                                        _matched_prefix(n, word, texts, (j, i))))
         # block containment: B(i) is a prefix of B(j)
         for j in range(n, depth + 1):
             for i in range(n, j + 1):
-                report.case({"n": n, "item": 2, "i": i, "j": j},
-                            blocks[i], blocks[j][:table.term(i)])
+                report.guarded({"n": n, "item": 2, "i": i, "j": j},
+                               lambda: (table.term(i),
+                                        _matched_prefix(n, _block_text(n, texts, j), texts, (i,))))
         # the staircase concatenation is a prefix of a single block
         m = 2
         while n + (n - 1) * m + 2 <= depth:
-            stair = _joined([blocks[n + (n - 1) * t] for t in range(m, -1, -1)])
-            target = blocks[n + (n - 1) * m + 2]
-            report.case({"n": n, "item": 4, "m": m}, stair, target[:len(stair)])
+            stair = range(n + (n - 1) * m, n - 1, 1 - n)
+            report.guarded({"n": n, "item": 4, "m": m},
+                           lambda: (sum(map(table.term, stair)), _matched_prefix(
+                               n, _block_text(n, texts, stair[0] + 2), texts, stair)))
             m += 1
     return report.done()
-
-
-def _concat_set_up(n: int, depth: int) -> tuple[dict, bytes | tuple[int, ...]]:
-    """Blocks 1..depth, and the word's first F(depth) + F(depth - n + 1)
-    letters in the blocks' type. Block `depth` is built first, so an
-    oversized one is refused before the table grows past it, and a prefix
-    above the length cap before any other block is built."""
-    top = block(n, depth)
-    table = get_table(n)
-    prefix = type(top)(_word_prefix(n, table.term(depth) + table.term(depth - n + 1)))
-    blocks = {m: block(n, m) for m in range(depth - 1, 0, -1)}
-    blocks[depth] = top
-    return blocks, prefix
-
-
-def _joined(blocks: list):
-    """The blocks of one order concatenated into one value of their type, by
-    a single copy: `+=` on `bytes` would copy the whole result per block."""
-    if isinstance(blocks[0], bytes):
-        return b"".join(blocks)
-    return tuple(chain.from_iterable(blocks))
 
 
 def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
@@ -277,22 +259,34 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
     return report.done()
 
 
-def _word_prefix(n: int, length: int) -> Iterator[int]:
-    """The word's first `length` letters; a length above DEFAULT_LENGTH_CAP
-    is refused before any letter is drawn."""
+def _staircase_pair(n: int, indices: range) -> tuple[int, int | str]:
+    """Sum F(c) over `indices` by the table, and the length `_matched_prefix` matches."""
+    word, texts = _prefix_set_up(n, indices)
+    return len(word), _matched_prefix(n, word, texts, indices)
+
+
+def _prefix_set_up(n: int, indices: Sequence[int]) -> tuple[str, dict[int, str]]:
+    """The word's first sum F(c) over `indices` letters, by the table, and a
+    cache of block texts holding block `indices[0]`. That block is built
+    first, so an oversized one is refused before the table grows past it,
+    and a prefix above the length cap before any letter is drawn."""
+    texts: dict[int, str] = {}
+    _block_text(n, texts, indices[0])
+    return _word_text(n, sum(map(get_table(n).term, indices))), texts
+
+
+def _word_text(n: int, length: int) -> str:
+    """The word's first `length` letters as chr(1)..chr(n); a length above
+    DEFAULT_LENGTH_CAP is refused before any letter is drawn."""
     require_at_most("prefix length", length, DEFAULT_LENGTH_CAP, BlockTooLarge)
-    return islice(stream(n), length)
+    return "".join(map(chr, islice(stream(n), length)))
 
 
-def _staircase_pair(n: int, indices: range) -> tuple:
-    """The word's prefix of length sum F(c) over `indices`, by the table,
-    and the blocks at `indices` concatenated, both in the blocks' type. The
-    top block is built first, so a top index above DEFAULT_LENGTH_CAP is
-    refused before the table grows to it, and a staircase above it before
-    the rest is built."""
-    top = block(n, indices[0], DEFAULT_LENGTH_CAP)
-    prefix = type(top)(_word_prefix(n, sum(map(get_table(n).term, indices))))
-    return prefix, _joined([top] + [block(n, c, DEFAULT_LENGTH_CAP) for c in indices[1:]])
+def _block_text(n: int, texts: dict[int, str], c: int) -> str:
+    """Block c's letters as chr(1)..chr(n), cached in `texts`."""
+    if c not in texts:
+        texts[c] = "".join(map(chr, block(n, c)))
+    return texts[c]
 
 
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
@@ -313,11 +307,10 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        prefix = report.set_up({"n": n, "sub": "set-up"},
-                               lambda: "".join(map(chr, _word_prefix(n, length_max))))
+        prefix = report.set_up({"n": n, "sub": "set-up"}, lambda: _word_text(n, length_max))
         if prefix is None:
             continue
-        blocks: dict[int, str] = {}
+        texts: dict[int, str] = {}
         tally = [0] * n
         for length, rep in zip(range(1, length_max + 1), successive_decompositions(n)):
             letter = ord(prefix[length - 1])
@@ -326,23 +319,21 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
                            lambda: (tally[:], count_prefix(n, length)))
             report.guarded({"n": n, "length": length, "sub": "prefix"},
                            lambda: ((length, letter),
-                                    (_matched_prefix(n, prefix, blocks, rep), char_at(n, length))))
+                                    (_matched_prefix(n, prefix, texts, rep), char_at(n, length))))
     return report.done()
 
 
-def _matched_prefix(n: int, prefix: str, blocks: dict[int, str],
-                    indices: list[int]) -> int | str:
-    """Length of the concatenation of the blocks at `indices` (descending)
-    if it is a prefix of the word (`prefix`); otherwise a message naming
-    the first block whose letters differ from the word. Blocks are cached
-    in `blocks`, in the letter encoding of `prefix`."""
+def _matched_prefix(n: int, prefix: str, texts: dict[int, str],
+                    indices: Sequence[int]) -> int | str:
+    """Length of the concatenation of the blocks at `indices` if it is a
+    prefix of `prefix` (the word's, or a block); otherwise a message naming
+    the first block whose letters differ. `prefix` and the blocks, cached
+    in `texts`, hold letters as chr(1)..chr(n)."""
     offset = 0
     for c in indices:
-        piece = blocks.get(c)
-        if piece is None:
-            piece = blocks[c] = "".join(map(chr, block(n, c)))
+        piece = _block_text(n, texts, c)
         if not prefix.startswith(piece, offset):
-            return f"block {c} differs from the word at letters {offset + 1}..{offset + len(piece)}"
+            return f"block {c} differs at letters {offset + 1}..{offset + len(piece)}"
         offset += len(piece)
     return offset
 

@@ -227,7 +227,7 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
         chunk = next(chunks)
         if len(chunk) > remaining:
             chunk = chunk[:remaining]
-        if n < 256:
+        if _letters(n) is bytes:
             for i in range(1, n + 1):
                 counts[i] += chunk.count(i)
         else:

@@ -509,6 +509,23 @@ def test_a_reader_that_closes_the_pipe_early_gets_exit_1_and_no_traceback(argv):
         assert (child.wait(timeout=60), child.stderr.read()) == (1, b"")
 
 
+# A child whose stderr is closed (Python starts with sys.stderr None) or open
+# read-only (every write fails) cannot print its error: it exits with the
+# code the error has, a usage error 2 and a domain error 1, and stdout stays
+# empty.
+@pytest.mark.parametrize("redirect", ["2>&-", "2</dev/null"], ids=["closed", "read-only"])
+@pytest.mark.parametrize("argv,code", [
+    (["decompose", "-n", "1", "5"], 2),
+    (["verify", "--checks", "nope"], 2),
+    (["block", "-n", "3", "-m", "1000000"], 1),
+], ids=["decompose-order", "verify-checks", "block-cap"])
+def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, redirect):
+    result = subprocess.run(["sh", "-c", f'exec "$0" -m nzeck.cli "$@" {redirect}',
+                             sys.executable, *argv], env=child_env(), capture_output=True,
+                            timeout=60)
+    assert (result.returncode, result.stdout) == (code, b"")
+
+
 def test_help_matches_a_freshly_built_parser(capsys):
     fresh = build_parser.__wrapped__().format_help()
     for _ in range(2):

@@ -70,7 +70,8 @@ def test_largest_summand_rows_examples(n, j, expected):
     assert largest_summand_rows(n, j) == expected
 
 
-@pytest.mark.parametrize("n,k", [(3, 4), (3, 6), (4, 5)])
+# (3, 4) is fixed-summand's `rows` cases in the default verify sweep
+@pytest.mark.parametrize("n,k", [(3, 6), (4, 5)])
 def test_row_ranges_classify_members(n, k):
     j_top = 2 * n + 2
     hi_row = term(n, j_top + 1)

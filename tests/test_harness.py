@@ -129,22 +129,22 @@ def test_block_counts_at_depth_a_million_runs_the_cases_of_depth_45():
     assert report.elapsed_s < 10.0
 
 
-def test_staircase_pair_refuses_a_staircase_above_the_length_cap(monkeypatch):
+def test_prefix_set_up_refuses_a_staircase_above_the_length_cap(monkeypatch):
     indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
-    stair = b"".join(block(3, c) for c in indices)
     monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 23)
-    assert harness._staircase_pair(3, indices) == (stair, stair)
+    word, texts = harness._prefix_set_up(3, indices)
+    assert harness._matched_prefix(3, word, texts, indices) == len(word) == 23
     monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 22)
     with pytest.raises(BlockTooLarge, match="^prefix length 23 exceeds the limit 22$"):
-        harness._staircase_pair(3, indices)
+        harness._prefix_set_up(3, indices)
     monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", DEFAULT_LENGTH_CAP)
     # the 33-step staircase at n = 2 has 24157815 letters: its top block is
     # built, and the staircase is refused before any other block or letter
     built = []
-    monkeypatch.setattr(harness, "block", lambda n, m, cap: built.append(m) or block(n, m, cap))
+    monkeypatch.setattr(harness, "block", lambda n, m: built.append(m) or block(n, m))
     with pytest.raises(BlockTooLarge, match="^prefix length 24157815 exceeds the limit "
                                             f"{DEFAULT_LENGTH_CAP}$"):
-        harness._staircase_pair(2, range(2 + 33, 1, -1))
+        harness._prefix_set_up(2, range(2 + 33, 1, -1))
     assert built == [35]
 
 
@@ -181,16 +181,6 @@ def test_report_json_stringifies_big_ints():
     json.dumps(payload)
 
 
-def test_report_json_lists_the_letters_of_a_block():
-    # a failed block compare reads as letters in JSON, as it did when
-    # blocks were lists
-    report = CheckReport("demo", {})
-    report.fail({"n": 3}, block(3, 5), block(300, 302))
-    failure = report.to_json_dict()["failures"][0]
-    assert (failure["expected"], failure["actual"]) == ([3, 1, 2], [300, 1, 2])
-    json.dumps(failure)
-
-
 def test_report_json_big_int_above_digit_limit():
     payload = CheckReport("x", {"b": 10**5000}).to_json_dict()
     assert payload["parameters"]["b"] == "1" + "0" * 5000
@@ -214,7 +204,7 @@ def test_prefix_check_names_the_block_that_differs(monkeypatch):
     # (length, its letter in the word) against (matched length, char_at)
     letter = list(islice(stream(3), uses_7[0]))[-1]
     assert expected == (uses_7[0], letter)
-    assert actual[0].startswith("block 7 differs from the word")
+    assert actual[0].startswith("block 7 differs at letters ")
     assert actual[1] == letter
 
 
@@ -352,12 +342,12 @@ def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monk
     assert built == [44]
 
 
-def test_word_prefix_refuses_a_length_above_the_cap(monkeypatch):
+def test_word_text_refuses_a_length_above_the_cap(monkeypatch):
     monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 60)
-    assert len(list(harness._word_prefix(3, 60))) == 60
+    assert harness._word_text(3, 60) == "".join(map(chr, islice(stream(3), 60)))
     monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 59)
     with pytest.raises(BlockTooLarge, match="^prefix length 60 exceeds the limit 59$"):
-        harness._word_prefix(3, 60)
+        harness._word_text(3, 60)
 
 
 def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case():

@@ -159,15 +159,6 @@ def test_char_at_matches_stream_at_millionth():
     assert char_at(3, 10**6) == next(it)
 
 
-@pytest.mark.parametrize("n", [3, 4])
-def test_landmark_positions(n):
-    # the F(nj)-th letter is a_n; the F(nj+u)-th letter is a_u for 0 < u < n
-    for j in range(1, 7):
-        assert char_at(n, term(n, n * j)) == n
-        for u in range(1, n):
-            assert char_at(n, term(n, n * j + u)) == u
-
-
 @pytest.mark.parametrize("n,m,expected", [
     (3, 8, [3, 2, 4]),
     (3, 1, [1, 0, 0]),
