@@ -25,7 +25,7 @@ from .sequence import (SequenceTable, get_table, largest_index_at_most,
                        perturbed_table, term)
 from .words import (CHUNK_LETTERS, DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT,
                     block, char_at, count_block, count_prefix,
-                    count_prefix_scan, format_letters, stream, stream_chunks)
+                    count_prefix_scan, format_letters, prefix, stream, stream_chunks)
 
 __version__ = "0.1.0"
 
@@ -61,6 +61,7 @@ __all__ = [
     "largest_index_at_most",
     "largest_summand_rows",
     "perturbed_table",
+    "prefix",
     "recompose",
     "smallest_summand_members",
     "smallest_summand_scan",

@@ -280,8 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     """Run one command line (default: sys.argv[1:]) and return its exit code:
-    0 on success, 1 for a domain error or a closed stdout, 2 for a usage
-    error. argparse's own usage errors and --help raise SystemExit instead.
+    0 on success, 1 for a domain error, a closed stdout or a MemoryError, 2
+    for a usage error. argparse's own usage errors and --help raise
+    SystemExit instead.
 
     Every call in a process parses with the one shared `build_parser()`,
     built on the first call, not at import; it must not be mutated.
@@ -306,6 +307,8 @@ def main(argv=None) -> int:
         return out.get("code", 0)
     except NzeckError as exc:
         code, message = 1, f"error: {type(exc).__name__}: {exc}"
+    except MemoryError:  # its text is empty; what was allocated is freed by now
+        code, message = 1, "error: MemoryError: out of memory"
     except ValueError as exc:
         code, message = 2, f"error: {exc}"
     finally:

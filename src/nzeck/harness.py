@@ -18,19 +18,18 @@ import inspect
 import os
 import threading
 from decimal import Decimal
+from functools import cache, partial
 from itertools import compress, islice
 from time import perf_counter
 from typing import Callable, Iterable, Sequence, TypeVar
 
 from .decomposition import (brute_force_decompositions, decompose, recompose,
                             successive_decompositions)
-from .errors import BlockTooLarge
 from .fixed_summand import (_any_summand_flags, any_summand_members, largest_summand_rows,
                             smallest_summand_members, smallest_summand_scan,
                             telescoping_identity)
 from .sequence import get_table, perturbed_table, require_at_most
-from .words import (DEFAULT_LENGTH_CAP, DEFAULT_SCAN_LIMIT, block, char_at, count_block,
-                    count_prefix, stream)
+from .words import DEFAULT_SCAN_LIMIT, block, char_at, count_block, count_prefix, prefix
 
 MAX_RECORDED_FAILURES = 5
 T = TypeVar("T")
@@ -208,26 +207,25 @@ def check_concat_prefixes(n_range: Iterable[int] = (3, 4), depth: int = 12) -> C
                              lambda: _prefix_set_up(n, (depth, depth - n + 1)))
         if made is None:
             continue
-        word, texts = made
+        word, blocks = made
         # pair concatenation: B(j) . B(i) starts the word, n <= i <= j-(n-1)
         for j in range(2 * n - 1, depth + 1):
             for i in range(n, j - (n - 1) + 1):
                 report.guarded({"n": n, "item": 1, "i": i, "j": j},
                                lambda: (table.term(j) + table.term(i),
-                                        _matched_prefix(n, word, texts, (j, i))))
+                                        _matched_prefix(word, blocks, (j, i))))
         # block containment: B(i) is a prefix of B(j)
         for j in range(n, depth + 1):
             for i in range(n, j + 1):
                 report.guarded({"n": n, "item": 2, "i": i, "j": j},
-                               lambda: (table.term(i),
-                                        _matched_prefix(n, _block_text(n, texts, j), texts, (i,))))
+                               lambda: (table.term(i), _matched_prefix(blocks(j), blocks, (i,))))
         # the staircase concatenation is a prefix of a single block
         m = 2
         while n + (n - 1) * m + 2 <= depth:
             stair = range(n + (n - 1) * m, n - 1, 1 - n)
             report.guarded({"n": n, "item": 4, "m": m},
-                           lambda: (sum(map(table.term, stair)), _matched_prefix(
-                               n, _block_text(n, texts, stair[0] + 2), texts, stair)))
+                           lambda: (sum(map(table.term, stair)),
+                                    _matched_prefix(blocks(stair[0] + 2), blocks, stair)))
             m += 1
     return report.done()
 
@@ -261,32 +259,18 @@ def check_block_counts(n_range: Iterable[int] = (2, 3, 4, 5), depth: int = 25,
 
 def _staircase_pair(n: int, indices: range) -> tuple[int, int | str]:
     """Sum F(c) over `indices` by the table, and the length `_matched_prefix` matches."""
-    word, texts = _prefix_set_up(n, indices)
-    return len(word), _matched_prefix(n, word, texts, indices)
+    word, blocks = _prefix_set_up(n, indices)
+    return len(word), _matched_prefix(word, blocks, indices)
 
 
-def _prefix_set_up(n: int, indices: Sequence[int]) -> tuple[str, dict[int, str]]:
-    """The word's first sum F(c) over `indices` letters, by the table, and a
-    cache of block texts holding block `indices[0]`. That block is built
+def _prefix_set_up(n: int, indices: Sequence[int]) -> tuple[Sequence[int], Callable]:
+    """The word's first sum F(c) over `indices` letters, by the table, and
+    order n's block cache, holding block `indices[0]`. That block is built
     first, so an oversized one is refused before the table grows past it,
     and a prefix above the length cap before any letter is drawn."""
-    texts: dict[int, str] = {}
-    _block_text(n, texts, indices[0])
-    return _word_text(n, sum(map(get_table(n).term, indices))), texts
-
-
-def _word_text(n: int, length: int) -> str:
-    """The word's first `length` letters as chr(1)..chr(n); a length above
-    DEFAULT_LENGTH_CAP is refused before any letter is drawn."""
-    require_at_most("prefix length", length, DEFAULT_LENGTH_CAP, BlockTooLarge)
-    return "".join(map(chr, islice(stream(n), length)))
-
-
-def _block_text(n: int, texts: dict[int, str], c: int) -> str:
-    """Block c's letters as chr(1)..chr(n), cached in `texts`."""
-    if c not in texts:
-        texts[c] = "".join(map(chr, block(n, c)))
-    return texts[c]
+    blocks = cache(partial(block, n))
+    blocks(indices[0])
+    return prefix(n, sum(map(get_table(n).term, indices))), blocks
 
 
 def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
@@ -298,41 +282,41 @@ def check_decomposition_prefix(n_range: Iterable[int] = (2, 3, 4, 5),
 
     The indices come from the add-one walk, which unique-decomposition
     checks against greedy `decompose`, so the concatenation does not rest
-    on the `decompose` that `count_prefix` and `char_at` call. Letters are
-    held as chr(1)..chr(n), so each prefix comparison is one memory compare
-    of L letters. Each case catches its own exceptions; a `length_max`
-    above the length cap is one failed set-up case per order.
+    on the `decompose` that `count_prefix` and `char_at` call. The prefix
+    and the blocks share one container, so a block is one slice compare.
+    Each case catches its own exceptions; a `length_max` above the length
+    cap is one failed set-up case per order.
     """
     n_range = list(n_range)
     report = CheckReport("decomposition-prefix",
                          _base_params(n_range, length_max=length_max))
     for n in n_range:
-        prefix = report.set_up({"n": n, "sub": "set-up"}, lambda: _word_text(n, length_max))
-        if prefix is None:
+        word = report.set_up({"n": n, "sub": "set-up"}, lambda: prefix(n, length_max))
+        if word is None:
             continue
-        texts: dict[int, str] = {}
+        blocks = cache(partial(block, n))
         tally = [0] * n
         for length, rep in zip(range(1, length_max + 1), successive_decompositions(n)):
-            letter = ord(prefix[length - 1])
+            letter = word[length - 1]
             tally[letter - 1] += 1
             report.guarded({"n": n, "length": length, "sub": "counts"},
                            lambda: (tally[:], count_prefix(n, length)))
             report.guarded({"n": n, "length": length, "sub": "prefix"},
                            lambda: ((length, letter),
-                                    (_matched_prefix(n, prefix, texts, rep), char_at(n, length))))
+                                    (_matched_prefix(word, blocks, rep), char_at(n, length))))
     return report.done()
 
 
-def _matched_prefix(n: int, prefix: str, texts: dict[int, str],
+def _matched_prefix(word: Sequence[int], blocks: Callable,
                     indices: Sequence[int]) -> int | str:
     """Length of the concatenation of the blocks at `indices` if it is a
-    prefix of `prefix` (the word's, or a block); otherwise a message naming
-    the first block whose letters differ. `prefix` and the blocks, cached
-    in `texts`, hold letters as chr(1)..chr(n)."""
+    prefix of `word` (the word's, or a block); otherwise a message naming
+    the first block whose letters differ. `word` and the blocks, from
+    `blocks(c)`, share one container, so a slice compares with a block."""
     offset = 0
     for c in indices:
-        piece = _block_text(n, texts, c)
-        if not prefix.startswith(piece, offset):
+        piece = blocks(c)
+        if word[offset:offset + len(piece)] != piece:
             return f"block {c} differs at letters {offset + 1}..{offset + len(piece)}"
         offset += len(piece)
     return offset

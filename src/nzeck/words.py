@@ -29,9 +29,9 @@ sums T_s of F(c - s) over the decomposition indices c of its length;
 from __future__ import annotations
 
 from collections import deque
-from itertools import chain, count
+from itertools import chain, count, islice
 from operator import sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .decomposition import _decomposition_sums, decompose
 from .errors import BlockTooLarge, _brief
@@ -162,6 +162,16 @@ def stream(n: int) -> Iterator[int]:
     return chain.from_iterable(stream_chunks(n))
 
 
+def prefix(n: int, length: int) -> bytes | tuple[int, ...]:
+    """The word's first `length` letters, drawn from `stream`, in the
+    container `block` uses. A length above DEFAULT_LENGTH_CAP is refused
+    with BlockTooLarge before any letter is drawn."""
+    require_order(n)
+    require_int("prefix length", length, 0)
+    require_at_most("prefix length", length, DEFAULT_LENGTH_CAP, BlockTooLarge)
+    return _letters(n)(islice(stream(n), length))
+
+
 def char_at(n: int, pos: int) -> int:
     """The pos-th letter (1-based) of the infinite word, without streaming.
 
@@ -237,7 +247,8 @@ def count_prefix_scan(n: int, length: int, scan_limit: int = DEFAULT_SCAN_LIMIT)
     return counts[1:]
 
 
-def format_letters(letters: Sequence[int]) -> str:
-    """Pretty text form: 3, 1, 2 -> "a3 a1 a2"."""
+def format_letters(letters: Iterable[int]) -> str:
+    """Pretty text form: 3, 1, 2 -> "a3 a1 a2"; an iterator is read once."""
+    letters = list(letters)
     names = tuple(f"a{i}" for i in range(max(letters, default=0) + 1))
     return " ".join(map(names.__getitem__, letters))

@@ -30,6 +30,7 @@ VALID = {
     nzeck.largest_index_at_most: dict(n=3, bound=9),
     nzeck.largest_summand_rows: dict(n=3, j=4),
     nzeck.perturbed_table: dict(n=3, m=9, delta=1),
+    nzeck.prefix: dict(n=3, length=10),
     nzeck.recompose: dict(n=3, indices=[3, 7]),
     nzeck.smallest_summand_members: dict(n=3, k=4, count=3),
     nzeck.smallest_summand_scan: dict(n=3, k=4, bound=30, scan_limit=100),
@@ -65,6 +66,7 @@ ARGUMENTS = [
     (nzeck.largest_summand_rows, "j", "j", 3),
     (nzeck.perturbed_table, "m", "index m", 1),
     (nzeck.perturbed_table, "delta", "delta", None),
+    (nzeck.prefix, "length", "prefix length", 0),
     (nzeck.smallest_summand_members, "k", "fixed index k", 3),
     (nzeck.smallest_summand_members, "count", "count", 1),
     (nzeck.smallest_summand_scan, "k", "fixed index k", 3),
@@ -139,6 +141,8 @@ HUGE_ARGUMENTS = [
      nzeck.ScanLimitExceeded, "member count 101 exceeds the limit 100"),
     ("any_summand_scan-bound", lambda: nzeck.any_summand_scan(3, 3, HUGE),
      nzeck.ScanLimitExceeded, "flag count a 5001-digit integer exceeds the limit 10000000"),
+    ("prefix-length", lambda: nzeck.prefix(3, HUGE), nzeck.BlockTooLarge,
+     "prefix length a 5001-digit integer exceeds the limit 10000000"),
     ("block-m", lambda: nzeck.block(3, HUGE), nzeck.BlockTooLarge,
      "block a 5001-digit integer has at least 2**a 5000-digit integer letters, "
      "above the 24-bit length cap"),

@@ -526,6 +526,25 @@ def test_an_unwritable_stderr_keeps_the_exit_code(argv, code, redirect):
     assert (result.returncode, result.stdout) == (code, b"")
 
 
+# order 3 * 10**9 asks for about 24 GB of table seeds at once; under a
+# 1.5 GiB address-space limit, set in the child only, that is a MemoryError
+@pytest.mark.parametrize("argv", [
+    ["term", "-n", "3000000000", "-m", "5"],
+    ["decompose", "-n", "3000000000", "7"],
+], ids=["term", "decompose"])
+def test_running_out_of_memory_exits_1_with_one_error_line(argv):
+    resource = pytest.importorskip("resource")
+
+    def limited():
+        resource.setrlimit(resource.RLIMIT_AS, (1536 << 20, 1536 << 20))
+    result = subprocess.run([sys.executable, "-m", "nzeck.cli", *argv], env=child_env(),
+                            capture_output=True, text=True, timeout=60, preexec_fn=limited)
+    assert (result.returncode, result.stdout) == (1, "")
+    lines = result.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: MemoryError")
+    assert "Traceback" not in result.stderr
+
+
 def test_help_matches_a_freshly_built_parser(capsys):
     fresh = build_parser.__wrapped__().format_help()
     for _ in range(2):

@@ -6,6 +6,7 @@ import json
 import os
 import threading
 import time
+import tracemalloc
 from collections import Counter
 from contextlib import nullcontext
 from itertools import islice
@@ -131,13 +132,13 @@ def test_block_counts_at_depth_a_million_runs_the_cases_of_depth_45():
 
 def test_prefix_set_up_refuses_a_staircase_above_the_length_cap(monkeypatch):
     indices = range(9, 2, -2)  # staircase m = 3 at n = 3: 13 + 6 + 3 + 1 letters
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 23)
-    word, texts = harness._prefix_set_up(3, indices)
-    assert harness._matched_prefix(3, word, texts, indices) == len(word) == 23
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 22)
+    monkeypatch.setattr(words, "DEFAULT_LENGTH_CAP", 23)
+    word, blocks = harness._prefix_set_up(3, indices)
+    assert harness._matched_prefix(word, blocks, indices) == len(word) == 23
+    monkeypatch.setattr(words, "DEFAULT_LENGTH_CAP", 22)
     with pytest.raises(BlockTooLarge, match="^prefix length 23 exceeds the limit 22$"):
         harness._prefix_set_up(3, indices)
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", DEFAULT_LENGTH_CAP)
+    monkeypatch.setattr(words, "DEFAULT_LENGTH_CAP", DEFAULT_LENGTH_CAP)
     # the 33-step staircase at n = 2 has 24157815 letters: its top block is
     # built, and the staircase is refused before any other block or letter
     built = []
@@ -146,6 +147,20 @@ def test_prefix_set_up_refuses_a_staircase_above_the_length_cap(monkeypatch):
                                             f"{DEFAULT_LENGTH_CAP}$"):
         harness._prefix_set_up(2, range(2 + 33, 1, -1))
     assert built == [35]
+
+
+def test_staircase_peaks_under_three_times_its_letters():
+    # the prefix and the cached blocks, one byte per letter each; a text
+    # form of them peaked at 9.5 times
+    indices = range(27, 1, -1)  # the 26-step staircase at n = 2
+    tracemalloc.start()
+    try:
+        length, matched = harness._staircase_pair(2, indices)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert length == matched == 514227
+    assert peak < 3 * length
 
 
 def test_block_counts_staircase_costs_no_index_list_per_refused_block():
@@ -340,14 +355,6 @@ def test_concat_prefixes_refuses_a_prefix_above_the_cap_after_its_top_block(monk
         f"BlockTooLarge: prefix length {term(3, 44) + term(3, 42)} exceeds the limit "
         f"{DEFAULT_LENGTH_CAP}")
     assert built == [44]
-
-
-def test_word_text_refuses_a_length_above_the_cap(monkeypatch):
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 60)
-    assert harness._word_text(3, 60) == "".join(map(chr, islice(stream(3), 60)))
-    monkeypatch.setattr(harness, "DEFAULT_LENGTH_CAP", 59)
-    with pytest.raises(BlockTooLarge, match="^prefix length 60 exceeds the limit 59$"):
-        harness._word_text(3, 60)
 
 
 def test_decomposition_prefix_refuses_a_prefix_above_the_length_cap_as_one_case():

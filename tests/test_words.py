@@ -7,8 +7,8 @@ import pytest
 
 from nzeck import (CHUNK_LETTERS, BlockTooLarge, ScanLimitExceeded,
                    SequenceTable, block, char_at, count_block, count_prefix,
-                   count_prefix_scan, decompose, format_letters, get_table, sequence,
-                   stream, stream_chunks, term)
+                   count_prefix_scan, decompose, format_letters, get_table, prefix, sequence,
+                   stream, stream_chunks, term, words)
 
 WORD_3_PREFIX = [3, 1, 2, 3, 3, 1, 3, 1, 2, 3, 1, 2, 3, 3]
 WORD_2_PREFIX = [2, 1, 2, 2, 1, 2, 1, 2, 2, 1, 2, 2, 1]
@@ -248,6 +248,23 @@ def test_orders_past_a_byte_hold_letters_in_tuples(n):
         assert count_prefix_scan(n, cut) == count_prefix(n, cut), cut
 
 
+@pytest.mark.parametrize("n,kind", [(2, bytes), (3, bytes), (255, bytes),
+                                    (256, tuple), (300, tuple)])
+@pytest.mark.parametrize("length", [0, 1, CHUNK_LETTERS - 1, CHUNK_LETTERS + 1])
+def test_prefix_is_the_stream_in_the_container_of_a_block(n, kind, length):
+    letters = prefix(n, length)
+    assert type(letters) is kind
+    assert letters == kind(islice(stream(n), length))
+
+
+def test_prefix_refuses_a_length_above_the_cap(monkeypatch):
+    monkeypatch.setattr(words, "DEFAULT_LENGTH_CAP", 60)
+    assert prefix(3, 60) == bytes(islice(stream(3), 60))
+    monkeypatch.setattr(words, "DEFAULT_LENGTH_CAP", 59)
+    with pytest.raises(BlockTooLarge, match="^prefix length 60 exceeds the limit 59$"):
+        prefix(3, 60)
+
+
 def test_count_prefix_scan_tallies_tuple_chunks_in_one_pass():
     # at this order n `count` calls per chunk, O(n) each, take about a second
     assert count_prefix_scan(10**4, 10**5) == count_prefix(10**4, 10**5)
@@ -261,5 +278,8 @@ def test_count_prefix_scan_limit():
 def test_format_letters():
     assert format_letters([3, 1, 2]) == "a3 a1 a2"
     assert format_letters([]) == ""
+    # an iterator is read once, not used up by a first pass
+    assert format_letters(iter([3, 1, 2])) == "a3 a1 a2"
+    assert format_letters(islice(stream(3), 5)) == "a3 a1 a2 a3 a3"
     letters = take(6, 10_000)
     assert format_letters(letters) == " ".join(f"a{x}" for x in letters)
